@@ -29,7 +29,7 @@ Annealer::Annealer(const platform::SocDescription& soc,
     : soc_(soc), eval_(eval), bucket_(bucket),
       allowed_(std::move(allowed_pus)), contention_(contention),
       budgetMilli_(budget_milli), numStages_(eval.numStages()),
-      keyed_(eval.keyed())
+      pool_(eval.numStages(), eval.numPus())
 {
     BT_ASSERT(!allowed_.empty(), "annealer needs at least one PU");
     std::sort(allowed_.begin(), allowed_.end());
@@ -45,6 +45,7 @@ Annealer::Annealer(const platform::SocDescription& soc,
                   && spec.finalTemperature <= 1.0,
               "finalTemperature must be in (0, 1]");
     assignScratch_.assign(static_cast<std::size_t>(numStages_), 0);
+    used_.assign(static_cast<std::size_t>(soc_.numPus()), 0);
     t0_ = spec.initialTemperature > 0.0 ? spec.initialTemperature
                                         : 0.25;
     coolFraction_ = spec.finalTemperature;
@@ -76,8 +77,8 @@ Annealer::maybeSweep(const AnnealSpec& spec)
     exhausted_ = true;
 }
 
-std::vector<Chunk>
-Annealer::frugalHomogeneous() const
+void
+Annealer::frugalHomogeneous(std::vector<Chunk>& out) const
 {
     // The single-chunk schedule on the allowed PU with the smallest
     // worst-stage demand - the same schedule the Optimizer's C6
@@ -95,7 +96,7 @@ Annealer::frugalHomogeneous() const
             best_pu = pu;
         }
     }
-    return {Chunk{0, numStages_ - 1, best_pu}};
+    out.assign(1, Chunk{0, numStages_ - 1, best_pu});
 }
 
 void
@@ -130,15 +131,15 @@ Annealer::seedChains(const AnnealSpec& spec)
         Chain ch;
         ch.rng = Rng(
             hashCombine(spec.seed, static_cast<std::uint64_t>(c)));
-        ch.chunks = randomPartition(ch.rng);
+        randomPartition(ch.rng, ch.chunks);
         const Prediction* p = evaluate(ch.chunks); // pool the start
         BT_ASSERT(p != nullptr, "random chain start must be feasible");
         chains_.push_back(std::move(ch));
     }
 }
 
-std::vector<Chunk>
-Annealer::randomPartition(Rng& rng) const
+void
+Annealer::randomPartition(Rng& rng, std::vector<Chunk>& out)
 {
     const int n = numStages_;
     const int m_eff = static_cast<int>(allowed_.size());
@@ -147,42 +148,39 @@ Annealer::randomPartition(Rng& rng) const
             static_cast<std::uint64_t>(std::min(n, m_eff))));
 
     // k-1 distinct cut points from {1..n-1} via partial Fisher-Yates.
-    std::vector<int> cuts(static_cast<std::size_t>(n - 1));
-    std::iota(cuts.begin(), cuts.end(), 1);
+    cuts_.resize(static_cast<std::size_t>(n - 1));
+    std::iota(cuts_.begin(), cuts_.end(), 1);
     for (int i = 0; i < k - 1; ++i)
-        std::swap(cuts[static_cast<std::size_t>(i)],
-                  cuts[static_cast<std::size_t>(i)
-                       + rng.nextBounded(
-                           static_cast<std::uint64_t>(n - 1 - i))]);
-    cuts.resize(static_cast<std::size_t>(k - 1));
-    std::sort(cuts.begin(), cuts.end());
+        std::swap(cuts_[static_cast<std::size_t>(i)],
+                  cuts_[static_cast<std::size_t>(i)
+                        + rng.nextBounded(
+                            static_cast<std::uint64_t>(n - 1 - i))]);
+    cuts_.resize(static_cast<std::size_t>(k - 1));
+    std::sort(cuts_.begin(), cuts_.end());
 
     // k distinct PUs from the allowed set, same trick.
-    std::vector<int> pus(allowed_);
+    pus_.assign(allowed_.begin(), allowed_.end());
     for (int i = 0; i < k; ++i)
-        std::swap(pus[static_cast<std::size_t>(i)],
-                  pus[static_cast<std::size_t>(i)
-                      + rng.nextBounded(
-                          static_cast<std::uint64_t>(m_eff - i))]);
+        std::swap(pus_[static_cast<std::size_t>(i)],
+                  pus_[static_cast<std::size_t>(i)
+                       + rng.nextBounded(
+                           static_cast<std::uint64_t>(m_eff - i))]);
 
-    std::vector<Chunk> chunks;
-    chunks.reserve(static_cast<std::size_t>(k));
+    out.clear();
     int start = 0;
     for (int i = 0; i < k; ++i) {
         const int last
-            = i + 1 < k ? cuts[static_cast<std::size_t>(i)] - 1 : n - 1;
-        chunks.push_back(
-            Chunk{start, last, pus[static_cast<std::size_t>(i)]});
+            = i + 1 < k ? cuts_[static_cast<std::size_t>(i)] - 1 : n - 1;
+        out.push_back(
+            Chunk{start, last, pus_[static_cast<std::size_t>(i)]});
         start = last + 1;
     }
 
     if (budgetMilli_ > 0) {
-        std::vector<int> assign(static_cast<std::size_t>(n));
-        toAssignment(chunks, assign);
-        if (!demandOk(assign))
-            return frugalHomogeneous(); // feasible fallback start
+        toAssignment(out, assignScratch_);
+        if (!demandOk(assignScratch_))
+            frugalHomogeneous(out); // feasible fallback start
     }
-    return chunks;
 }
 
 bool
@@ -195,35 +193,32 @@ Annealer::demandOk(const std::vector<int>& assignment) const
         <= budgetMilli_;
 }
 
-void
-Annealer::poolInsert(const std::vector<int>& assignment,
-                     const Prediction& pred)
-{
-    if (keyed_) {
-        std::uint64_t key = 0;
-        for (std::size_t i = 0; i < assignment.size(); ++i)
-            key |= static_cast<std::uint64_t>(assignment[i]) << (4 * i);
-        if (!poolKeys_.insert(key).second)
-            return;
-    } else {
-        if (!poolKeysWide_.emplace(assignment, true).second)
-            return;
-    }
-    pool_.push_back(PoolEntry{assignment, pred});
-}
-
 const Prediction*
 Annealer::evaluate(const std::vector<Chunk>& chunks)
 {
     toAssignment(chunks, assignScratch_);
+    const std::span<const int> assign(assignScratch_);
+    const SchedulePool::Probe probe = pool_.find(assign);
+    if (probe.entry != SchedulePool::kAbsent)
+        return &pool_.prediction(probe.entry); // pooled => C6-feasible
     if (!demandOk(assignScratch_)) {
         ++filtered_; // C6: the move is never even scored
         return nullptr;
     }
-    predScratch_ = eval_.predict(
-        std::span<const int>(assignScratch_), bucket_);
-    poolInsert(assignScratch_, predScratch_);
-    return &predScratch_;
+    return &pool_.insert(probe, assign, eval_.predict(assign, bucket_));
+}
+
+void
+Annealer::collectFreePus(const std::vector<Chunk>& chunks)
+{
+    for (const Chunk& c : chunks)
+        used_[static_cast<std::size_t>(c.pu)] = 1;
+    free_.clear();
+    for (const int pu : allowed_)
+        if (!used_[static_cast<std::size_t>(pu)])
+            free_.push_back(pu);
+    for (const Chunk& c : chunks)
+        used_[static_cast<std::size_t>(c.pu)] = 0;
 }
 
 bool
@@ -236,25 +231,17 @@ Annealer::propose(Chain& chain)
     // chain irreducible even after every chain has frozen, without
     // diluting the local move mix.
     if (chain.rng.nextBounded(16) == 0) {
-        prop_ = randomPartition(chain.rng);
+        randomPartition(chain.rng, prop_);
         return true;
     }
     switch (chain.rng.nextBounded(4)) {
       case 0: { // reassign a chunk onto an unused allowed PU
-        std::vector<int> free;
-        for (const int pu : allowed_) {
-            bool used = false;
-            for (const Chunk& c : cur)
-                used = used || c.pu == pu;
-            if (!used)
-                free.push_back(pu);
-        }
-        if (free.empty())
+        collectFreePus(cur);
+        if (free_.empty())
             return false;
         const auto idx = chain.rng.nextBounded(
             static_cast<std::uint64_t>(nc));
-        prop_[idx].pu
-            = free[chain.rng.nextBounded(free.size())];
+        prop_[idx].pu = free_[chain.rng.nextBounded(free_.size())];
         return true;
       }
       case 1: { // swap adjacent chunks' PU assignments
@@ -286,31 +273,24 @@ Annealer::propose(Chain& chain)
         return true;
       }
       default: { // rebalance: split a chunk onto an unused allowed PU
-        std::vector<int> free;
-        for (const int pu : allowed_) {
-            bool used = false;
-            for (const Chunk& c : cur)
-                used = used || c.pu == pu;
-            if (!used)
-                free.push_back(pu);
-        }
-        if (free.empty())
+        collectFreePus(cur);
+        if (free_.empty())
             return false;
-        std::vector<int> splittable;
+        splittable_.clear();
         for (int c = 0; c < nc; ++c)
             if (cur[static_cast<std::size_t>(c)].numStages() >= 2)
-                splittable.push_back(c);
-        if (splittable.empty())
+                splittable_.push_back(c);
+        if (splittable_.empty())
             return false;
-        const int c = splittable[chain.rng.nextBounded(
-            splittable.size())];
+        const int c = splittable_[chain.rng.nextBounded(
+            splittable_.size())];
         const std::size_t ci = static_cast<std::size_t>(c);
         const int cut = prop_[ci].firstStage
             + static_cast<int>(chain.rng.nextBounded(
                 static_cast<std::uint64_t>(prop_[ci].numStages()
                                            - 1)));
         const Chunk right{cut + 1, prop_[ci].lastStage,
-                          free[chain.rng.nextBounded(free.size())]};
+                          free_[chain.rng.nextBounded(free_.size())]};
         prop_[ci].lastStage = cut;
         prop_.insert(prop_.begin() + c + 1, right);
         return true;

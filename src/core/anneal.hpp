@@ -14,6 +14,18 @@
  * engines' level structure) and then applies the *same* level-1/level-2
  * selection arithmetic as the exhaustive engine over the pool.
  *
+ * The pool is a flat SchedulePool (schedule_eval.hpp): per entry the
+ * packed 64-bit assignment key (or, past 16 stages or PU classes, the
+ * stored assignment) plus its Prediction, indexed by one
+ * open-addressing table. A revisited schedule - most proposals, once
+ * the chains settle - is answered from its pool slot with one hash
+ * probe; only a pool miss reaches the C6 filter and then
+ * ScheduleEvaluator::predict. The move loop itself allocates nothing:
+ * proposals, free-PU lists and random partitions live in reused
+ * scratch. The Optimizer's harvest ranks plain-data records built from
+ * the pool's keys and predictions and builds a Candidate only for the
+ * entries it picks.
+ *
  * When the whole schedule space fits within a quarter of the move
  * budget, the annealer sweeps it outright instead of walking it: the
  * pool then *is* the enumeration and the harvested result coincides
@@ -29,8 +41,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -89,12 +99,6 @@ struct AnnealSpec
 class Annealer
 {
   public:
-    struct PoolEntry
-    {
-        std::vector<int> assignment; ///< stage -> PU
-        Prediction pred;
-    };
-
     struct Stats
     {
         std::int64_t proposed = 0; ///< moves drawn (incl. inapplicable)
@@ -132,7 +136,7 @@ class Annealer
 
     /** Every distinct C6-feasible schedule evaluated so far, in
      *  first-visit order (deterministic). */
-    const std::vector<PoolEntry>& pool() const { return pool_; }
+    const SchedulePool& pool() const { return pool_; }
 
     /** True when construction already swept the entire schedule space
      *  into the pool (tiny instance): running phases cannot add
@@ -153,17 +157,20 @@ class Annealer
 
     void seedChains(const AnnealSpec& spec);
     void maybeSweep(const AnnealSpec& spec);
-    std::vector<Chunk> frugalHomogeneous() const;
-    std::vector<Chunk> randomPartition(Rng& rng) const;
+    void frugalHomogeneous(std::vector<Chunk>& out) const;
+    /** Draw a random partition into @p out (feasible under C6). */
+    void randomPartition(Rng& rng, std::vector<Chunk>& out);
+    /** Collect the allowed PUs no chunk of @p chunks uses into free_. */
+    void collectFreePus(const std::vector<Chunk>& chunks);
     /** Draw one move into prop_; false if the drawn move does not
      *  apply to the current state (still counts against the budget). */
     bool propose(Chain& chain);
-    /** Evaluate prop_; pools it when feasible. Returns the Prediction,
-     *  or nullptr when the C6 filter rejects it. */
+    /** Evaluate @p chunks: a pooled schedule is answered from its pool
+     *  slot; a new one is C6-filtered, predicted and pooled. Returns
+     *  the Prediction (valid until the next call), or nullptr when the
+     *  C6 filter rejects the schedule. */
     const Prediction* evaluate(const std::vector<Chunk>& chunks);
     bool demandOk(const std::vector<int>& assignment) const;
-    void poolInsert(const std::vector<int>& assignment,
-                    const Prediction& pred);
 
     const platform::SocDescription& soc_;
     ScheduleEvaluator& eval_;
@@ -175,18 +182,16 @@ class Annealer
     std::vector<Chain> chains_;
     std::vector<Chunk> prop_;        ///< proposal scratch
     std::vector<int> assignScratch_; ///< stage -> PU scratch
-    Prediction predScratch_;         ///< last feasible evaluation
+    std::vector<char> used_;         ///< per-PU flags, all 0 at rest
+    std::vector<int> free_;          ///< unused allowed PUs scratch
+    std::vector<int> splittable_;    ///< multi-stage chunk scratch
+    std::vector<int> cuts_;          ///< randomPartition cut scratch
+    std::vector<int> pus_;           ///< randomPartition PU scratch
     int numStages_;
     double t0_;           ///< initial relative temperature
     double coolFraction_; ///< per-phase geometric cooling endpoint
 
-    std::vector<PoolEntry> pool_;
-    /** Dedup index: packed 4-bit keys when the instance fits 16x16
-     *  (same condition as the evaluator's keyed cache), else a map on
-     *  the full assignment. */
-    std::unordered_set<std::uint64_t> poolKeys_;
-    std::map<std::vector<int>, bool> poolKeysWide_;
-    bool keyed_;
+    SchedulePool pool_;
 
     std::int64_t proposed_ = 0;
     std::int64_t accepted_ = 0;

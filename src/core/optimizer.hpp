@@ -325,14 +325,21 @@ class Optimizer
     void runAnnealPhases(Annealer& annealer, int m_eff);
     /**
      * The shared level-1/level-2 selection arithmetic over a set of
-     * admissible candidates: derive the latency bound, required PU
+     * admissible schedules: derive the latency bound, required PU
      * count and gapness bound from the set, then pick up to K diverse
      * candidates (C5 blocking + per-tier caps). The exhaustive engine
      * feeds it the whole space; the annealed engine feeds it the
      * visited pool - which is exactly why their results agree whenever
-     * the pool covers the relevant optima.
+     * the pool covers the relevant optima. Ranks flat records and
+     * builds a Candidate only for each schedule it picks.
      */
-    std::vector<Candidate> selectDiverse(std::vector<Candidate> cands);
+    std::vector<Candidate> selectDiverse(const SchedulePool& pool);
+    /** Level-1 bounds (unrestricted latency, latency bound, required
+     *  PUs, gapness bound) over @p preds into stats_. */
+    void deriveLevelOneBounds(const std::vector<Prediction>& preds);
+    /** Predicted costs of @p s: the evaluator's, or from scratch. */
+    Prediction predict(const Schedule& s) const;
+    static Candidate makeCandidate(Schedule s, const Prediction& p);
     Candidate makeCandidate(const Schedule& s) const;
     /** Whether spec allowedPus admits @p pu (empty list = all). */
     bool puAllowed(int pu) const;

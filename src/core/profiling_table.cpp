@@ -1,6 +1,7 @@
 #include "core/profiling_table.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <sstream>
 
@@ -117,7 +118,10 @@ ProfilingTable::loadCsv(std::istream& is)
         } catch (const std::exception&) {
             return std::nullopt;
         }
-        if (c.mean < 0.0 || c.stddev < 0.0)
+        // stod accepts "nan" and "inf", and NaN slips past a sign
+        // check; a non-finite cell would trip set()'s assertion.
+        if (!std::isfinite(c.mean) || !std::isfinite(c.stddev)
+            || c.mean < 0.0 || c.stddev < 0.0)
             return std::nullopt;
         remember(stage_order, c.stage);
         remember(pu_order, c.pu);

@@ -13,7 +13,7 @@ ScheduleEvaluator::ScheduleEvaluator(
     : soc_(soc), table_(table), powerModel_(power_model),
       contention_(contention), numStages_(table.numStages()),
       numPus_(table.numPus()),
-      keyed_(numStages_ <= 16 && numPus_ <= 16)
+      memo_(numStages_, numPus_)
 {
     BT_ASSERT(table_.numPus() == soc_.numPus(),
               "profiling table PU count does not match device");
@@ -41,8 +41,6 @@ ScheduleEvaluator::ScheduleEvaluator(
         }
     }
 
-    if (keyed_)
-        memo_.reserve(1024);
     assignScratch_.resize(static_cast<std::size_t>(numStages_));
     usedScratch_.resize(static_cast<std::size_t>(numPus_));
 }
@@ -162,25 +160,24 @@ ScheduleEvaluator::evaluate(std::span<const int> stage_to_pu, int bucket)
 const Prediction&
 ScheduleEvaluator::predict(std::span<const int> stage_to_pu, int bucket)
 {
-    if (!keyed_) {
+    if (!memo_.keyed()) {
         ++stats_.unkeyed;
         scratch_ = evaluate(stage_to_pu, bucket);
         return scratch_;
     }
     // The packed key uses all 64 bits, so each bucket memoizes into
-    // its own map (bucket 0 keeps the original hot path).
-    auto& memo = bucket == 0 ? memo_ : bucketMemo_[bucket];
-    std::uint64_t key = 0;
-    for (const int pu : stage_to_pu)
-        key = (key << 4) | static_cast<std::uint64_t>(pu);
-    const auto it = memo.find(key);
-    if (it != memo.end()) {
+    // its own pool (bucket 0 keeps the original hot path).
+    SchedulePool& memo = bucket == 0
+        ? memo_
+        : bucketMemo_.try_emplace(bucket, numStages_, numPus_)
+              .first->second;
+    const SchedulePool::Probe probe = memo.find(stage_to_pu);
+    if (probe.entry != SchedulePool::kAbsent) {
         ++stats_.hits;
-        return it->second;
+        return memo.prediction(probe.entry);
     }
     ++stats_.misses;
-    return memo.emplace(key, evaluate(stage_to_pu, bucket))
-        .first->second;
+    return memo.insert(probe, stage_to_pu, evaluate(stage_to_pu, bucket));
 }
 
 const Prediction&
@@ -192,6 +189,131 @@ ScheduleEvaluator::predict(const Schedule& schedule, int bucket)
         for (int s = c.firstStage; s <= c.lastStage; ++s)
             assignScratch_[static_cast<std::size_t>(s)] = c.pu;
     return predict(std::span<const int>(assignScratch_), bucket);
+}
+
+SchedulePool::SchedulePool(int num_stages, int num_pus)
+    : numStages_(num_stages), keyed_(packable(num_stages, num_pus)),
+      slots_(1024), shift_(64 - 10)
+{
+    BT_ASSERT(num_stages > 0, "a pooled schedule needs a stage");
+}
+
+std::uint64_t
+SchedulePool::hashOf(std::span<const int> stage_to_pu) const
+{
+    if (keyed_)
+        return packAssignment(stage_to_pu); // exact identity
+    std::uint64_t h = 0; // FNV-1a style fold
+    for (const int pu : stage_to_pu)
+        h = (h ^ static_cast<std::uint64_t>(pu)) * 0x100000001b3ull;
+    return h;
+}
+
+std::size_t
+SchedulePool::home(std::uint64_t hash) const
+{
+    // Fibonacci hashing: the top bits of a golden-ratio multiply.
+    return static_cast<std::size_t>((hash * 0x9e3779b97f4a7c15ull)
+                                    >> shift_);
+}
+
+std::span<const int>
+SchedulePool::wide(std::size_t i) const
+{
+    const auto n = static_cast<std::size_t>(numStages_);
+    return {wide_.data() + i * n, n};
+}
+
+SchedulePool::Probe
+SchedulePool::find(std::span<const int> stage_to_pu) const
+{
+    BT_ASSERT(static_cast<int>(stage_to_pu.size()) == numStages_);
+    Probe p;
+    p.hash = hashOf(stage_to_pu);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = home(p.hash);; i = (i + 1) & mask) {
+        const Slot& s = slots_[i];
+        if (s.entry == kAbsent) {
+            p.slot = i;
+            return p;
+        }
+        if (s.hash == p.hash
+            && (keyed_
+                || std::equal(stage_to_pu.begin(), stage_to_pu.end(),
+                              wide(s.entry).begin()))) {
+            p.slot = i;
+            p.entry = s.entry;
+            return p;
+        }
+    }
+}
+
+const Prediction&
+SchedulePool::insert(const Probe& probe, std::span<const int> stage_to_pu,
+                     const Prediction& pred)
+{
+    BT_ASSERT(probe.entry == kAbsent, "assignment already pooled");
+    BT_ASSERT(preds_.size() < kAbsent, "schedule pool full");
+    const auto entry = static_cast<std::uint32_t>(preds_.size());
+    preds_.push_back(pred);
+    if (keyed_)
+        keys_.push_back(probe.hash);
+    else
+        wide_.insert(wide_.end(), stage_to_pu.begin(), stage_to_pu.end());
+    slots_[probe.slot] = Slot{probe.hash, entry};
+    if (2 * preds_.size() > slots_.size())
+        grow();
+    return preds_.back();
+}
+
+bool
+SchedulePool::add(std::span<const int> stage_to_pu, const Prediction& pred)
+{
+    const Probe probe = find(stage_to_pu);
+    if (probe.entry != kAbsent)
+        return false;
+    insert(probe, stage_to_pu, pred);
+    return true;
+}
+
+void
+SchedulePool::grow()
+{
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    --shift_;
+    const std::size_t mask = slots_.size() - 1;
+    for (const Slot& s : old) {
+        if (s.entry == kAbsent)
+            continue;
+        std::size_t i = home(s.hash);
+        while (slots_[i].entry != kAbsent)
+            i = (i + 1) & mask;
+        slots_[i] = s;
+    }
+}
+
+void
+SchedulePool::assignment(std::size_t i, std::span<int> out) const
+{
+    BT_ASSERT(static_cast<int>(out.size()) == numStages_);
+    if (keyed_) {
+        unpackAssignment(keys_[i], out);
+        return;
+    }
+    const auto a = wide(i);
+    std::copy(a.begin(), a.end(), out.begin());
+}
+
+bool
+SchedulePool::assignmentLess(std::size_t a, std::size_t b) const
+{
+    if (keyed_)
+        return keys_[a] < keys_[b];
+    const auto wa = wide(a);
+    const auto wb = wide(b);
+    return std::lexicographical_compare(wa.begin(), wa.end(), wb.begin(),
+                                        wb.end());
 }
 
 } // namespace bt::core

@@ -16,11 +16,12 @@
  *     stage at a time - the same left-fold ProfilingTable::rangeTime
  *     computes, so every entry is bit-identical to the from-scratch sum;
  *  2. a *keyed prediction cache*: full Prediction records (latency,
- *     gapness, energy, chunk count) memoized by a packed assignment key,
- *     shared across solver objective callbacks, exhaustive enumeration,
- *     the annealed engine's move loop (anneal.hpp - millions of move
- *     evaluations become cache lookups), and graceful-degradation
- *     replans against the same table.
+ *     gapness, energy, chunk count) memoized in a SchedulePool by
+ *     packed assignment key (packAssignment), shared across solver
+ *     objective callbacks, exhaustive enumeration, the annealed
+ *     engine's pool misses (anneal.hpp keeps its own pool, so a
+ *     revisited schedule never reaches this memo), and
+ *     graceful-degradation replans against the same table.
  *
  * Cross-tenant co-placement rides the same machinery: when constructed
  * with a ContentionProfile, predictions can be asked for under an
@@ -75,12 +76,130 @@ struct Prediction
     double demandGbps = 0.0;
 };
 
+/** Most stages, and most PU classes, a packed assignment key holds. */
+inline constexpr int kMaxPackedStages = 16;
+
+/** Whether (@p num_stages x @p num_pus) assignments pack into 64-bit
+ *  keys: 4 bits per stage, so at most 16 stages of 16 PU classes. */
+constexpr bool
+packable(int num_stages, int num_pus)
+{
+    return num_stages <= kMaxPackedStages && num_pus <= kMaxPackedStages;
+}
+
+/**
+ * Packed 64-bit key of a stage -> PU assignment: 4 bits per stage with
+ * stage 0 in the highest nibble used. Valid only for packable()
+ * instances. Because stage 0 sits highest and every PU index fits its
+ * nibble, the integer order of two keys over the same stage count is
+ * the lexicographic order of their assignments (the order of
+ * Schedule::toAssignment() vectors) - the planner's ranking tie-break
+ * relies on that. SchedulePool (the evaluator memo, the annealer's
+ * pool) keys its entries with it.
+ */
+inline std::uint64_t
+packAssignment(std::span<const int> stage_to_pu)
+{
+    std::uint64_t key = 0;
+    for (const int pu : stage_to_pu)
+        key = (key << 4) | static_cast<std::uint64_t>(pu);
+    return key;
+}
+
+/** Inverse of packAssignment: decode @p key into @p out.size() stages. */
+inline void
+unpackAssignment(std::uint64_t key, std::span<int> out)
+{
+    for (std::size_t s = out.size(); s-- > 0; key >>= 4)
+        out[s] = static_cast<int>(key & 0xF);
+}
+
 /** Cache effectiveness counters (for stats and the bench harness). */
 struct EvalStats
 {
     std::uint64_t hits = 0;        ///< predictions served from the memo
     std::uint64_t misses = 0;      ///< predictions computed and stored
     std::uint64_t unkeyed = 0;     ///< computed without memoization
+};
+
+/**
+ * Flat, deduplicated store of scored schedules: the evaluator's memo,
+ * the annealed engine's visited pool and the exhaustive engine's
+ * admissible set (the last two feed the planner's shared selection).
+ * Entry i is a Prediction plus its
+ * assignment - the packAssignment key on packable() instances, the
+ * stored stage -> PU vector otherwise - in first-insert order. One
+ * open-addressing table maps assignments to entries, so a lookup is a
+ * single hash probe and an insert allocates nothing beyond amortized
+ * array growth.
+ */
+class SchedulePool
+{
+  public:
+    static constexpr std::uint32_t kAbsent = 0xffffffffu;
+
+    SchedulePool(int num_stages, int num_pus);
+
+    int numStages() const { return numStages_; }
+    /** Whether entries are identified by packed keys. */
+    bool keyed() const { return keyed_; }
+    std::size_t size() const { return preds_.size(); }
+    bool empty() const { return preds_.empty(); }
+
+    /** Outcome of find(): the pooled entry, or kAbsent plus the spot
+     *  where insert() puts it. */
+    struct Probe
+    {
+        std::uint64_t hash = 0;
+        std::size_t slot = 0;
+        std::uint32_t entry = kAbsent;
+    };
+
+    Probe find(std::span<const int> stage_to_pu) const;
+
+    /**
+     * Pool @p pred for the assignment @p probe (from find() on the
+     * same assignment, with no insert in between) missed on. Returns
+     * the stored copy, valid until the next insert.
+     */
+    const Prediction& insert(const Probe& probe,
+                             std::span<const int> stage_to_pu,
+                             const Prediction& pred);
+
+    /** Insert unless already pooled; true when the entry is new. */
+    bool add(std::span<const int> stage_to_pu, const Prediction& pred);
+
+    const std::vector<Prediction>& predictions() const { return preds_; }
+    const Prediction& prediction(std::size_t i) const { return preds_[i]; }
+
+    /** packAssignment key of entry @p i (keyed pools only). */
+    std::uint64_t key(std::size_t i) const { return keys_[i]; }
+
+    /** Decode entry @p i's assignment into @p out (numStages() PUs). */
+    void assignment(std::size_t i, std::span<int> out) const;
+
+    /** Lexicographic order of entries' assignments. */
+    bool assignmentLess(std::size_t a, std::size_t b) const;
+
+  private:
+    struct Slot
+    {
+        std::uint64_t hash = 0;
+        std::uint32_t entry = kAbsent;
+    };
+
+    std::uint64_t hashOf(std::span<const int> stage_to_pu) const;
+    std::size_t home(std::uint64_t hash) const;
+    std::span<const int> wide(std::size_t i) const;
+    void grow();
+
+    int numStages_;
+    bool keyed_;
+    std::vector<Prediction> preds_;
+    std::vector<std::uint64_t> keys_; ///< keyed: packed key per entry
+    std::vector<int> wide_;           ///< unkeyed: numStages_ per entry
+    std::vector<Slot> slots_;         ///< power-of-two table, <= 1/2 full
+    int shift_;                       ///< 64 - log2(slots_.size())
 };
 
 /**
@@ -107,11 +226,6 @@ class ScheduleEvaluator
     int numStages() const { return numStages_; }
     int numPus() const { return numPus_; }
 
-    /** Whether assignments pack into 64-bit memo keys (instance fits
-     *  16 stages x 16 PU classes). The annealed engine reuses the same
-     *  condition for its visited-pool dedup keys. */
-    bool keyed() const { return keyed_; }
-
     /** Chunk time of stages [first, last] on @p pu; bit-identical to
      *  table().rangeTime(first, last, pu), O(1). */
     double
@@ -124,7 +238,8 @@ class ScheduleEvaluator
      * Predict @p stage_to_pu (one PU index per stage, contiguity
      * C2-respecting) under ambient bucket @p bucket. Memoized by
      * packed key when the instance fits 16 stages x 16 PU classes;
-     * computed directly otherwise.
+     * computed directly otherwise. The returned reference is valid
+     * until the next predict() call.
      */
     const Prediction& predict(std::span<const int> stage_to_pu,
                               int bucket = 0);
@@ -158,14 +273,12 @@ class ScheduleEvaluator
     const platform::ContentionProfile* contention_;
     int numStages_;
     int numPus_;
-    bool keyed_; ///< assignments pack into 64 bits
 
     std::vector<double> chunkTimes_; ///< [first][last][pu], left-fold
-    std::unordered_map<std::uint64_t, Prediction> memo_;
+    SchedulePool memo_; ///< bucket 0; used only when memo_.keyed()
     /** Lazily built stretched chunk tables and memos, bucket > 0. */
     std::unordered_map<int, std::vector<double>> bucketChunkTimes_;
-    std::unordered_map<int, std::unordered_map<std::uint64_t, Prediction>>
-        bucketMemo_;
+    std::unordered_map<int, SchedulePool> bucketMemo_;
     Prediction scratch_; ///< returned for unkeyed instances
     EvalStats stats_;
     std::vector<int> assignScratch_; ///< Schedule -> assignment, reused

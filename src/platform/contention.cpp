@@ -1,7 +1,9 @@
 #include "platform/contention.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <vector>
 
 #include "common/logging.hpp"
 #include "platform/perf_model.hpp"
@@ -34,10 +36,19 @@ ContentionProfile::aggregateDemandMilli(
     BT_ASSERT(static_cast<int>(stage_to_pu.size()) == numStages);
     // A PU's draw is its hungriest assigned stage (stages on one PU run
     // back-to-back, never concurrently), so the aggregate is a sum of
-    // per-PU maxima.
+    // per-PU maxima. They live on the stack for up to 16 PU classes
+    // (every shipped rig); the heap is only a fallback for wider rigs.
+    constexpr int kStackPus = 16;
+    std::array<std::int64_t, kStackPus> stack_buf{};
+    std::vector<std::int64_t> heap_buf;
+    if (numPus > kStackPus)
+        heap_buf.assign(static_cast<std::size_t>(numPus), 0);
+    const std::span<std::int64_t> per_pu
+        = numPus > kStackPus
+        ? std::span<std::int64_t>(heap_buf)
+        : std::span<std::int64_t>(stack_buf.data(),
+                                  static_cast<std::size_t>(numPus));
     std::int64_t total = 0;
-    std::vector<std::int64_t> per_pu(static_cast<std::size_t>(numPus),
-                                     0);
     for (int s = 0; s < numStages; ++s) {
         const int pu = stage_to_pu[static_cast<std::size_t>(s)];
         BT_ASSERT(pu >= 0 && pu < numPus);

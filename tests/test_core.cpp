@@ -10,8 +10,9 @@
 
 #include <cstring>
 #include <numeric>
-#include <sstream>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "apps/alexnet.hpp"
 #include "apps/octree_app.hpp"
@@ -211,6 +212,23 @@ TEST(ProfilingTable, CsvRejectsMalformedInput)
         std::stringstream ss(text);
         EXPECT_FALSE(ProfilingTable::loadCsv(ss).has_value())
             << "accepted: " << text;
+    }
+}
+
+TEST(ProfilingTable, CsvRejectsNonFiniteCells)
+{
+    // NaN passes a "< 0" check, so each spelling of a non-finite value
+    // must be rejected explicitly, in either numeric column.
+    for (const char* bad : {"nan", "inf", "-inf", "NAN", "infinity"}) {
+        const std::string good = "1e-3";
+        for (const bool in_mean : {true, false}) {
+            std::stringstream ss;
+            ss << "stage,pu,mean_s,stddev_s\n"
+               << "a,x," << (in_mean ? bad : good) << ','
+               << (in_mean ? good : bad) << '\n';
+            EXPECT_FALSE(ProfilingTable::loadCsv(ss).has_value())
+                << "accepted " << bad << (in_mean ? " mean" : " stddev");
+        }
     }
 }
 

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "apps/alexnet.hpp"
 #include "apps/octree_app.hpp"
@@ -477,6 +479,86 @@ TEST_F(ProfiledPixel, SharedEvaluatorServesSecondOptimizerFromCache)
     for (const auto& chunk : plan_b.front().schedule.chunks())
         EXPECT_LE(chunk.pu, 2);
     (void)plan_a;
+}
+
+TEST(PackedAssignmentKey, IntegerOrderIsLexicographicOrder)
+{
+    // Stage 0 sits in the high nibble, so sorting packed keys sorts the
+    // assignments lexicographically (Schedule::toAssignment order) -
+    // the planner's ranking tie-break depends on exactly this.
+    std::vector<std::vector<int>> assigns;
+    for (const auto& s : enumerateSchedules(6, 5))
+        assigns.push_back(s.toAssignment());
+    std::sort(assigns.begin(), assigns.end());
+    for (std::size_t i = 0; i + 1 < assigns.size(); ++i)
+        EXPECT_LT(packAssignment(assigns[i]),
+                  packAssignment(assigns[i + 1]));
+
+    std::vector<int> back(6);
+    for (const auto& a : assigns) {
+        unpackAssignment(packAssignment(a), back);
+        EXPECT_EQ(back, a);
+    }
+    // The widest packable assignment fills all 64 bits.
+    const std::vector<int> widest(kMaxPackedStages, 15);
+    EXPECT_EQ(packAssignment(widest), ~std::uint64_t{0});
+    EXPECT_EQ(packAssignment(std::vector<int>{1, 0}), 0x10u);
+}
+
+/** Insert @p assigns into @p pool (prediction latency = position) and
+ *  check dedup, first-insert order, lookup and decode. */
+void
+expectPoolRoundTrip(SchedulePool& pool,
+                    const std::vector<std::vector<int>>& assigns)
+{
+    for (std::size_t i = 0; i < assigns.size(); ++i) {
+        Prediction p;
+        p.latency = static_cast<double>(i);
+        EXPECT_TRUE(pool.add(assigns[i], p));
+        EXPECT_FALSE(pool.add(assigns[i], p)) << "duplicate pooled";
+    }
+    ASSERT_EQ(pool.size(), assigns.size());
+    std::vector<int> back(assigns.front().size());
+    for (std::size_t i = 0; i < assigns.size(); ++i) {
+        const auto probe = pool.find(assigns[i]);
+        ASSERT_EQ(probe.entry, i);
+        EXPECT_EQ(pool.prediction(i).latency, static_cast<double>(i));
+        pool.assignment(i, back);
+        EXPECT_EQ(back, assigns[i]);
+        if (i > 0) {
+            EXPECT_EQ(pool.assignmentLess(i - 1, i),
+                      assigns[i - 1] < assigns[i]);
+        }
+    }
+}
+
+TEST(SchedulePool, KeyedPoolDedupsAndKeepsInsertOrder)
+{
+    // 2,116 schedules: past the initial table size, so growth rehashes.
+    std::vector<std::vector<int>> assigns;
+    for (const auto& s : enumerateSchedules(9, 4))
+        assigns.push_back(s.toAssignment());
+    std::reverse(assigns.begin(), assigns.end());
+    SchedulePool pool(9, 4);
+    EXPECT_TRUE(pool.keyed());
+    expectPoolRoundTrip(pool, assigns);
+    for (std::size_t i = 0; i < assigns.size(); ++i)
+        EXPECT_EQ(pool.key(i), packAssignment(assigns[i]));
+}
+
+TEST(SchedulePool, WidePoolStoresAssignments)
+{
+    // 17 stages do not pack into 64 bits.
+    std::vector<std::vector<int>> assigns;
+    for (const auto& s : enumerateSchedules(17, 3))
+        assigns.push_back(s.toAssignment());
+    SchedulePool pool(17, 3);
+    EXPECT_FALSE(pool.keyed());
+    expectPoolRoundTrip(pool, assigns);
+    // PU 0 in two separate runs violates C2, so it was never added.
+    std::vector<int> never_added(17, 0);
+    never_added[8] = 1;
+    EXPECT_EQ(pool.find(never_added).entry, SchedulePool::kAbsent);
 }
 
 } // namespace
