@@ -138,9 +138,19 @@ ProfilingTable::loadCsv(std::istream& is)
         stage_idx[stage_order[static_cast<std::size_t>(s)]] = s;
     for (int p = 0; p < table.numPus(); ++p)
         pu_idx[pu_order[static_cast<std::size_t>(p)]] = p;
+    // Every (stage, PU) cell exactly once. The row count already equals
+    // stages x PUs, so a duplicated row would otherwise stand in for a
+    // missing one and leave that cell at its default.
+    std::vector<bool> seen(cells.size(), false);
     for (const auto& c : cells) {
-        table.set(stage_idx[c.stage], pu_idx[c.pu], c.mean);
-        table.setStddev(stage_idx[c.stage], pu_idx[c.pu], c.stddev);
+        const int s = stage_idx[c.stage];
+        const int p = pu_idx[c.pu];
+        const auto cell = static_cast<std::size_t>(s * table.numPus() + p);
+        if (seen[cell])
+            return std::nullopt;
+        seen[cell] = true;
+        table.set(s, p, c.mean);
+        table.setStddev(s, p, c.stddev);
     }
     return table;
 }

@@ -55,7 +55,9 @@ class ProfilingTable
 
     /**
      * Parse a table previously written by saveCsv.
-     * @return the table, or std::nullopt on malformed input.
+     * @return the table, or std::nullopt on malformed input (bad
+     *         header or number, a non-finite or negative cell, a
+     *         missing or duplicated (stage, PU) cell).
      */
     static std::optional<ProfilingTable> loadCsv(std::istream& is);
 

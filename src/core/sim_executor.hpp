@@ -34,9 +34,18 @@ class SimExecutor
     runtime::RunResult execute(const Application& app,
                                const Schedule& schedule) const;
 
+    /**
+     * execute() without trace recording, for callers that read only
+     * the measured figures (autotuning candidates, baselines). Every
+     * figure is bit-identical to execute()'s; the trace is empty.
+     */
+    runtime::RunResult measure(const Application& app,
+                               const Schedule& schedule) const;
+
   private:
     runtime::VirtualTimeBackend backend;
     SimExecConfig config;
+    SimExecConfig untraced; ///< config with recordTrace off
 };
 
 } // namespace bt::core

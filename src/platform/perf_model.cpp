@@ -1,8 +1,10 @@
 #include "platform/perf_model.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
-#include <set>
+#include <vector>
 
 #include "common/logging.hpp"
 
@@ -48,16 +50,12 @@ PerfModel::activePowerW(int pu, int busy_others) const
 }
 
 double
-PerfModel::systemPowerW(const std::vector<bool>& pu_active) const
+PerfModel::systemPowerW(std::uint64_t active_pus) const
 {
-    BT_ASSERT(pu_active.size() == static_cast<std::size_t>(
-        desc.numPus()));
-    int busy = 0;
-    for (bool b : pu_active)
-        busy += b;
+    const int busy = std::popcount(active_pus);
     double total = desc.basePowerW;
     for (int p = 0; p < desc.numPus(); ++p) {
-        if (pu_active[static_cast<std::size_t>(p)])
+        if ((active_pus >> p) & 1u)
             total += activePowerW(p, busy - 1);
         else
             total += desc.pu(p).idlePowerW;
@@ -94,21 +92,84 @@ PerfModel::timeOfImpl(std::size_t idx, std::span<const Load> active,
     BT_ASSERT(idx < active.size(), "load index out of range");
     BT_ASSERT(ambient_gbps >= 0.0, "ambient demand must be nonnegative");
     const Load& self = active[idx];
-    BT_ASSERT(self.work != nullptr);
-    const PuModel& p = desc.pu(self.pu);
 
-    // How many *other* PU classes have at least one active load, and how
-    // many loads share our own PU (timeslicing).
-    std::set<int> other_classes;
+    // Which PU classes have at least one active load (ours among them),
+    // and how many loads share our own PU (timeslicing).
+    std::uint64_t busy = 0;
     int same_pu = 0;
     for (const auto& l : active) {
         BT_ASSERT(l.work != nullptr);
+        BT_ASSERT(l.pu >= 0 && l.pu < desc.numPus(), "bad PU ", l.pu);
+        busy |= std::uint64_t{1} << l.pu;
         if (l.pu == self.pu)
             ++same_pu;
-        else
-            other_classes.insert(l.pu);
     }
-    const int busy_others = static_cast<int>(other_classes.size());
+
+    // Memory side: demand-proportional DRAM sharing (ContentionModel).
+    double demand_total = 0.0;
+    for (const auto& l : active) {
+        const double demand = contention_.demandGbps(*l.work, desc.pu(l.pu));
+        // Other PUs' traffic is partially absorbed by bank-level
+        // parallelism; our own demand counts in full.
+        demand_total
+            += contention_.weightedDemand(demand, l.pu == self.pu);
+    }
+    // Cross-tenant ambient traffic joins the pool like any foreign
+    // PU's demand (adding 0.0 keeps the fold bit-identical).
+    demand_total += contention_.weightedDemand(ambient_gbps, false);
+    return loadTime(self, same_pu, std::popcount(busy) - 1, demand_total,
+                    clock_scale, ambient_gbps);
+}
+
+void
+PerfModel::timesOf(std::span<const Load> active,
+                   std::span<const double> clock_scale,
+                   double ambient_gbps, std::span<double> out) const
+{
+    BT_ASSERT(out.size() == active.size(), "one output per load");
+    BT_ASSERT(ambient_gbps >= 0.0, "ambient demand must be nonnegative");
+
+    // Busy classes, loads per class, and each load's demand (parked in
+    // out until the folds below have read it).
+    std::uint64_t busy = 0;
+    std::array<int, SocDescription::kMaxPus> per_pu{};
+    for (std::size_t i = 0; i < active.size(); ++i) {
+        const Load& l = active[i];
+        BT_ASSERT(l.work != nullptr);
+        BT_ASSERT(l.pu >= 0 && l.pu < desc.numPus(), "bad PU ", l.pu);
+        busy |= std::uint64_t{1} << l.pu;
+        ++per_pu[static_cast<std::size_t>(l.pu)];
+        out[i] = contention_.demandGbps(*l.work, desc.pu(l.pu));
+    }
+
+    // The weighted-demand fold of each busy class, in load order and
+    // ending with the ambient term, exactly as timeOf folds it.
+    std::array<double, SocDescription::kMaxPus> fold;
+    for (std::uint64_t rest = busy; rest != 0; rest &= rest - 1) {
+        const int cls = std::countr_zero(rest);
+        double total = 0.0;
+        for (std::size_t i = 0; i < active.size(); ++i)
+            total += contention_.weightedDemand(out[i],
+                                                active[i].pu == cls);
+        total += contention_.weightedDemand(ambient_gbps, false);
+        fold[static_cast<std::size_t>(cls)] = total;
+    }
+
+    const int busy_others = std::popcount(busy) - 1;
+    for (std::size_t i = 0; i < active.size(); ++i) {
+        const auto cls = static_cast<std::size_t>(active[i].pu);
+        out[i] = loadTime(active[i], per_pu[cls], busy_others, fold[cls],
+                          clock_scale, ambient_gbps);
+    }
+}
+
+double
+PerfModel::loadTime(const Load& self, int same_pu, int busy_others,
+                    double demand_total,
+                    std::span<const double> clock_scale,
+                    double ambient_gbps) const
+{
+    const PuModel& p = desc.pu(self.pu);
     const bool contended = busy_others > 0 || ambient_gbps > 0.0;
 
     double freq = effectiveFreqGhz(self.pu, busy_others);
@@ -119,21 +180,7 @@ PerfModel::timeOfImpl(std::size_t idx, std::span<const Load> active,
     }
     double comp = computeTime(*self.work, p, freq);
 
-    // Memory side: demand-proportional DRAM sharing (ContentionModel).
     const double llc = contention_.llcFactor(contended);
-    double demand_total = 0.0;
-    for (std::size_t i = 0; i < active.size(); ++i) {
-        const Load& l = active[i];
-        const PuModel& lp = desc.pu(l.pu);
-        const double demand = contention_.demandGbps(*l.work, lp);
-        // Other PUs' traffic is partially absorbed by bank-level
-        // parallelism; our own demand counts in full.
-        demand_total
-            += contention_.weightedDemand(demand, l.pu == self.pu);
-    }
-    // Cross-tenant ambient traffic joins the pool like any foreign
-    // PU's demand (adding 0.0 keeps the fold bit-identical).
-    demand_total += contention_.weightedDemand(ambient_gbps, false);
     const double scale = contention_.bandwidthScale(demand_total);
     const double bw = p.memBwGbps * scale;
     double mem = (self.work->bytes * llc) / (bw * 1e9);

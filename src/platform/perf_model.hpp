@@ -27,6 +27,7 @@
 #ifndef BT_PLATFORM_PERF_MODEL_HPP
 #define BT_PLATFORM_PERF_MODEL_HPP
 
+#include <cstdint>
 #include <span>
 
 #include "platform/contention.hpp"
@@ -81,6 +82,18 @@ class PerfModel
                   std::span<const double> clock_scale,
                   double ambient_gbps) const;
 
+    /**
+     * Execution time of every entry of @p active at once, written to
+     * @p out (same size): out[i] equals timeOf(i, active, clock_scale,
+     * ambient_gbps) bit for bit. One pass counts the busy classes and
+     * each load's bandwidth demand; the weighted-demand fold then runs
+     * once per busy class, in load order, so it rounds exactly like
+     * timeOf's. This is the DES rate refresh.
+     */
+    void timesOf(std::span<const Load> active,
+                 std::span<const double> clock_scale, double ambient_gbps,
+                 std::span<double> out) const;
+
     /** Execution time of @p w on @p pu with nothing else running. */
     double isolatedTime(const WorkProfile& w, int pu) const;
 
@@ -108,10 +121,11 @@ class PerfModel
     double activePowerW(int pu, int busy_others) const;
 
     /**
-     * Whole-SoC power given which PU classes are currently executing:
-     * base power + per-class active/idle draw.
+     * Whole-SoC power given which PU classes are currently executing
+     * (bit p of @p active_pus = class p): base power + per-class
+     * active/idle draw.
      */
-    double systemPowerW(const std::vector<bool>& pu_active) const;
+    double systemPowerW(std::uint64_t active_pus) const;
 
   private:
     /**
@@ -122,6 +136,17 @@ class PerfModel
     double timeOfImpl(std::size_t idx, std::span<const Load> active,
                       std::span<const double> clock_scale,
                       double ambient_gbps) const;
+
+    /**
+     * The slowdown fold shared by timeOf and timesOf: @p self's time
+     * when @p same_pu loads (itself included) timeslice its class,
+     * @p busy_others other classes are busy, and the weighted DRAM
+     * demand seen from its class sums to @p demand_total.
+     */
+    double loadTime(const Load& self, int same_pu, int busy_others,
+                    double demand_total,
+                    std::span<const double> clock_scale,
+                    double ambient_gbps) const;
 
     /** Compute-side time, before memory effects. */
     double computeTime(const WorkProfile& w, const PuModel& p,

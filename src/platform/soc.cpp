@@ -90,6 +90,8 @@ void
 SocDescription::validate() const
 {
     BT_ASSERT(!pus.empty(), "SoC ", name, " has no PUs");
+    BT_ASSERT(numPus() <= kMaxPus, "SoC ", name, " has ", numPus(),
+              " PU classes; at most ", kMaxPus, " are supported");
     BT_ASSERT(mem.dramBwGbps > 0.0);
     BT_ASSERT(mem.llcFactorIsolated > 0.0
               && mem.llcFactorContended >= mem.llcFactorIsolated,

@@ -53,6 +53,12 @@ struct SocDescription
     /** Peak whole-SoC power: base + every class active at base clock. */
     double peakPowerW() const;
 
+    /**
+     * Most PU classes one SoC may have: the virtual-time runtime tracks
+     * its busy classes in one 64-bit mask (bit p = class p).
+     */
+    static constexpr int kMaxPus = 64;
+
     /** Number of scheduling classes. */
     int numPus() const { return static_cast<int>(pus.size()); }
 
@@ -68,7 +74,8 @@ struct SocDescription
     /** Index of the fastest CPU class by peak GFLOP/s, or -1. */
     int bigCpuIndex() const;
 
-    /** Sanity-check invariants (positive rates, unique labels, ...). */
+    /** Sanity-check invariants (at most kMaxPus classes, positive
+     *  rates, unique labels, ...). */
     void validate() const;
 };
 

@@ -56,6 +56,8 @@ GreedyRuntime::run(const core::Application& app, const RunConfig& cfg,
         trace = TraceTimeline("greedy", num_pus, puNames(soc),
                               stageNames(app));
         trace.setSessionId(cfg.sessionId);
+        trace.reserve(static_cast<std::size_t>(cfg.numTasks)
+                      * static_cast<std::size_t>(app.numStages()));
     }
 
     std::vector<PuState> pu_state(static_cast<std::size_t>(num_pus),
@@ -76,9 +78,10 @@ GreedyRuntime::run(const core::Application& app, const RunConfig& cfg,
     std::vector<double> complete_time(static_cast<std::size_t>(
         cfg.numTasks), 0.0);
 
+    std::vector<platform::Load> loads; // reused across rate refreshes
     sim::Engine engine([&](std::span<const sim::ActiveTask> active,
                            std::span<double> rates) {
-        std::vector<platform::Load> loads(active.size());
+        loads.resize(active.size());
         for (std::size_t i = 0; i < active.size(); ++i) {
             const int pu = static_cast<int>(active[i].tag);
             BT_ASSERT(pu_state[static_cast<std::size_t>(pu)]
@@ -88,19 +91,20 @@ GreedyRuntime::run(const core::Application& app, const RunConfig& cfg,
                      .work(),
                 pu};
         }
-        for (std::size_t i = 0; i < active.size(); ++i)
-            rates[i] = 1.0
-                / model_.timeOf(i, loads, {},
-                                cfg.ambientBandwidthGbps);
+        model_.timesOf(loads, {}, cfg.ambientBandwidthGbps, rates);
+        for (double& r : rates)
+            r = 1.0 / r;
     });
 
-    EnergyMeter meter(model_, [&](std::vector<bool>& active) {
+    EnergyMeter meter(model_);
+    engine.onAdvance([&](double t0, double t1) {
+        std::uint64_t active = 0;
         for (int p = 0; p < num_pus; ++p)
             if (pu_state[static_cast<std::size_t>(p)]
                 == PuState::Running)
-                active[static_cast<std::size_t>(p)] = true;
+                active |= std::uint64_t{1} << p;
+        meter.add(t0, t1, active);
     });
-    meter.attach(engine);
 
     auto coRunnersOf = [&](int self) {
         std::vector<int> pus;
@@ -134,17 +138,18 @@ GreedyRuntime::run(const core::Application& app, const RunConfig& cfg,
             engine.now() + params.dispatchOverheadUs * 1e-6, [&, p] {
                 const auto pj = static_cast<std::size_t>(p);
                 pu_state[pj] = PuState::Running;
-                pu_pending[pj] = TraceEvent{
-                    pu_item[pj].task,
-                    pu_item[pj].stage,
-                    p, // no chunks here: dispatch slot = PU
-                    p,
-                    engine.now() - pu_item[pj].readyAt,
-                    engine.now(),
-                    0.0,
-                    coRunnersOf(p),
-                    TraceEventKind::Stage,
-                    {}};
+                if (cfg.recordTrace)
+                    pu_pending[pj] = TraceEvent{
+                        pu_item[pj].task,
+                        pu_item[pj].stage,
+                        p, // no chunks here: dispatch slot = PU
+                        p,
+                        engine.now() - pu_item[pj].readyAt,
+                        engine.now(),
+                        0.0,
+                        coRunnersOf(p),
+                        TraceEventKind::Stage,
+                        {}};
                 engine.startTask(
                     static_cast<std::uint64_t>(p),
                     VirtualTimeBackend::noiseFactor(
@@ -194,7 +199,7 @@ GreedyRuntime::run(const core::Application& app, const RunConfig& cfg,
         pu_state[pi] = PuState::Idle;
         if (cfg.recordTrace) {
             pu_pending[pi].endSeconds = engine.now();
-            trace.record(pu_pending[pi]);
+            trace.record(std::move(pu_pending[pi]));
         }
 
         if (done.stage + 1 < app.numStages()) {

@@ -60,6 +60,9 @@ PipelineSession::PipelineSession(const core::Application& app,
         trace_ = TraceTimeline(std::move(backend_name), soc.numPus(),
                                puNames(soc), stageNames(app));
         trace_.setSessionId(cfg_.sessionId);
+        // One event per (task, stage); recovery incidents are rare.
+        trace_.reserve(static_cast<std::size_t>(cfg_.numTasks)
+                       * static_cast<std::size_t>(app.numStages()));
     }
 }
 

@@ -171,10 +171,11 @@ TraceTimeline::merge(const TraceTimeline& other, double time_offset)
 void
 TraceTimeline::sortByStart()
 {
-    std::stable_sort(events_.begin(), events_.end(),
-                     [](const TraceEvent& a, const TraceEvent& b) {
-                         return a.startSeconds < b.startSeconds;
-                     });
+    const auto earlier = [](const TraceEvent& a, const TraceEvent& b) {
+        return a.startSeconds < b.startSeconds;
+    };
+    if (!std::is_sorted(events_.begin(), events_.end(), earlier))
+        std::stable_sort(events_.begin(), events_.end(), earlier);
 }
 
 TraceStats

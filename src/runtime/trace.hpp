@@ -181,7 +181,11 @@ class TraceTimeline
     /** Append one stage execution (callers serialize access). */
     void record(TraceEvent event);
 
-    /** Order events by start time (host backends record concurrently). */
+    /** Make room for @p events events without reallocating. */
+    void reserve(std::size_t events) { events_.reserve(events); }
+
+    /** Order events by start time, stably (host backends record
+     *  concurrently). Already-ordered events skip the sort. */
     void sortByStart();
 
     /** Derive occupancy / bubble / interference statistics. */

@@ -35,22 +35,14 @@ struct ChunkRuntime
 
 } // namespace
 
-EnergyMeter::EnergyMeter(
-    const platform::PerfModel& model,
-    std::function<void(std::vector<bool>&)> fill_active)
-    : model_(model), fillActive_(std::move(fill_active)),
-      scratch_(static_cast<std::size_t>(model.soc().numPus()), false)
+EnergyMeter::EnergyMeter(const platform::PerfModel& model) : model_(model)
 {
 }
 
 void
-EnergyMeter::attach(sim::Engine& engine)
+EnergyMeter::add(double t0, double t1, std::uint64_t active_pus)
 {
-    engine.onAdvance([this](double t0, double t1) {
-        std::fill(scratch_.begin(), scratch_.end(), false);
-        fillActive_(scratch_);
-        joules_ += (t1 - t0) * model_.systemPowerW(scratch_);
-    });
+    joules_ += (t1 - t0) * model_.systemPowerW(active_pus);
 }
 
 VirtualTimeBackend::VirtualTimeBackend(const platform::PerfModel& model)
@@ -84,6 +76,9 @@ VirtualTimeBackend::run(const core::Application& app,
     cfg.faults.validate(num_pus);
     PipelineSession session(app, schedule, soc, cfg, "virtual",
                             cfg.runKernels);
+    // Untraced runs (autotuning and baseline measurements) build no
+    // TraceEvent, co-runner list or incident note at all.
+    const bool tracing = cfg.recordTrace;
 
     const int num_chunks = session.numChunks();
     const int num_buffers = session.numBuffers();
@@ -141,20 +136,23 @@ VirtualTimeBackend::run(const core::Application& app,
                 &app.stage(rt.curStage).work(),
                 chunk_pu[static_cast<std::size_t>(active[i].tag)]};
         }
-        for (std::size_t i = 0; i < active.size(); ++i)
-            rates[i] = 1.0
-                / model_.timeOf(i, loads, clock_scale,
-                                cfg.ambientBandwidthGbps);
+        model_.timesOf(loads, clock_scale, cfg.ambientBandwidthGbps,
+                       rates);
+        for (double& r : rates)
+            r = 1.0 / r;
     });
 
-    EnergyMeter meter(model_, [&](std::vector<bool>& active) {
+    // A chunk's PU draws active power from dispatch to hand-off,
+    // backoff waits included.
+    EnergyMeter meter(model_);
+    engine.onAdvance([&](double t0, double t1) {
+        std::uint64_t active = 0;
         for (int c = 0; c < num_chunks; ++c)
             if (chunks[static_cast<std::size_t>(c)].busy)
-                active[static_cast<std::size_t>(
-                    chunk_pu[static_cast<std::size_t>(c)])]
-                    = true;
+                active |= std::uint64_t{1}
+                    << chunk_pu[static_cast<std::size_t>(c)];
+        meter.add(t0, t1, active);
     });
-    meter.attach(engine);
 
     auto coRunnersOf = [&](int self) {
         std::vector<int> pus;
@@ -180,16 +178,17 @@ VirtualTimeBackend::run(const core::Application& app,
         auto& rt = chunks[static_cast<std::size_t>(c)];
         rt.curStage = stage;
         rt.stageStart = engine.now();
-        rt.pending = TraceEvent{rt.curTask,
-                                stage,
-                                c,
-                                puOf(c),
-                                queue_wait,
-                                engine.now(),
-                                0.0,
-                                coRunnersOf(c),
-                                TraceEventKind::Stage,
-                                {}};
+        if (tracing)
+            rt.pending = TraceEvent{rt.curTask,
+                                    stage,
+                                    c,
+                                    puOf(c),
+                                    queue_wait,
+                                    engine.now(),
+                                    0.0,
+                                    coRunnersOf(c),
+                                    TraceEventKind::Stage,
+                                    {}};
         double work = noiseFactor(soc, cfg.noiseSalt, 0, rt.curTask,
                                   stage);
         if (faulty) {
@@ -200,10 +199,11 @@ VirtualTimeBackend::run(const core::Application& app,
                                            rt.attempt);
             if (straggle > 1.0) {
                 stats.stragglers += 1;
-                session.recordEvent(makeFaultEvent(
-                    TraceEventKind::Straggler, rt.curTask, stage, c,
-                    puOf(c), engine.now(), engine.now(),
-                    "x" + std::to_string(straggle)));
+                if (tracing)
+                    session.recordEvent(makeFaultEvent(
+                        TraceEventKind::Straggler, rt.curTask, stage, c,
+                        puOf(c), engine.now(), engine.now(),
+                        "x" + std::to_string(straggle)));
                 work *= straggle;
             }
             // Arm the watchdog: abort the attempt when it exceeds its
@@ -266,9 +266,11 @@ VirtualTimeBackend::run(const core::Application& app,
      *  then fail over to the profiled next-best PU, then abandon. */
     handleFailure = [&](int c, TraceEventKind kind) {
         auto& rt = chunks[static_cast<std::size_t>(c)];
-        session.recordEvent(makeFaultEvent(kind, rt.curTask, rt.curStage, c,
-                                       puOf(c), rt.stageStart,
-                                       engine.now()));
+        if (tracing)
+            session.recordEvent(makeFaultEvent(kind, rt.curTask,
+                                               rt.curStage, c, puOf(c),
+                                               rt.stageStart,
+                                               engine.now()));
         rt.attempt += 1;
         if (rt.attempt <= cfg.recovery.maxRetries) {
             const double backoff = cfg.recovery.backoffBaseSeconds
@@ -281,10 +283,11 @@ VirtualTimeBackend::run(const core::Application& app,
                 auto& w = chunks[static_cast<std::size_t>(c)];
                 if (w.seq != seq)
                     return; // superseded (e.g. dropout re-dispatch)
-                session.recordEvent(makeFaultEvent(
-                    TraceEventKind::Retry, w.curTask, w.curStage, c,
-                    puOf(c), engine.now(), engine.now(),
-                    "attempt " + std::to_string(w.attempt)));
+                if (tracing)
+                    session.recordEvent(makeFaultEvent(
+                        TraceEventKind::Retry, w.curTask, w.curStage, c,
+                        puOf(c), engine.now(), engine.now(),
+                        "attempt " + std::to_string(w.attempt)));
                 startAttempt(c, w.curStage, 0.0);
             });
             return;
@@ -295,11 +298,12 @@ VirtualTimeBackend::run(const core::Application& app,
                 = nextBestPu(model_, app, spec.firstStage,
                              spec.lastStage, pu_alive, puOf(c));
             if (target >= 0) {
-                session.recordEvent(makeFaultEvent(
-                    TraceEventKind::Remap, rt.curTask, rt.curStage, c,
-                    target, engine.now(), engine.now(),
-                    "pu " + std::to_string(puOf(c)) + " -> "
-                        + std::to_string(target)));
+                if (tracing)
+                    session.recordEvent(makeFaultEvent(
+                        TraceEventKind::Remap, rt.curTask, rt.curStage,
+                        c, target, engine.now(), engine.now(),
+                        "pu " + std::to_string(puOf(c)) + " -> "
+                            + std::to_string(target)));
                 stats.remaps += 1;
                 chunk_pu[static_cast<std::size_t>(c)] = target;
                 rt.remapped = true;
@@ -310,10 +314,11 @@ VirtualTimeBackend::run(const core::Application& app,
         }
         // Out of options: surface the loss and keep the stream moving.
         stats.unrecovered += 1;
-        session.recordEvent(makeFaultEvent(TraceEventKind::Abandon,
-                                       rt.curTask, rt.curStage, c,
-                                       puOf(c), engine.now(),
-                                       engine.now()));
+        if (tracing)
+            session.recordEvent(makeFaultEvent(TraceEventKind::Abandon,
+                                               rt.curTask, rt.curStage,
+                                               c, puOf(c), engine.now(),
+                                               engine.now()));
         session.recordFailure(rt.curTask, rt.curStage);
         advanceChunk(c);
     };
@@ -354,8 +359,10 @@ VirtualTimeBackend::run(const core::Application& app,
             handleFailure(c, TraceEventKind::Transient);
             return;
         }
-        rt.pending.endSeconds = engine.now();
-        session.recordEvent(rt.pending);
+        if (tracing) {
+            rt.pending.endSeconds = engine.now();
+            session.recordEvent(std::move(rt.pending));
+        }
         // Kernels run at stage completion, not dispatch: a failed or
         // aborted attempt must commit no side effects, or a retry would
         // re-apply an in-place stage mutation.
@@ -390,9 +397,10 @@ VirtualTimeBackend::run(const core::Application& app,
                     return;
                 pu_alive[static_cast<std::size_t>(d.pu)] = false;
                 stats.dropouts += 1;
-                session.recordEvent(makeFaultEvent(
-                    TraceEventKind::Dropout, -1, -1, -1, d.pu,
-                    engine.now(), engine.now()));
+                if (tracing)
+                    session.recordEvent(makeFaultEvent(
+                        TraceEventKind::Dropout, -1, -1, -1, d.pu,
+                        engine.now(), engine.now()));
 
                 std::vector<int> affected;
                 for (int c = 0; c < num_chunks; ++c)
@@ -408,18 +416,20 @@ VirtualTimeBackend::run(const core::Application& app,
                     const core::Schedule plan
                         = replanner.replan(pu_alive);
                     stats.replans += 1;
-                    session.recordEvent(makeFaultEvent(
-                        TraceEventKind::Replan, -1, -1, -1, d.pu,
-                        engine.now(), engine.now()));
+                    if (tracing)
+                        session.recordEvent(makeFaultEvent(
+                            TraceEventKind::Replan, -1, -1, -1, d.pu,
+                            engine.now(), engine.now()));
                     const auto assign = plan.toAssignment();
                     for (const int c : affected) {
                         const int target = assign[static_cast<
                             std::size_t>(session.chunk(c).firstStage)];
-                        session.recordEvent(makeFaultEvent(
-                            TraceEventKind::Remap, -1, -1, c, target,
-                            engine.now(), engine.now(),
-                            "pu " + std::to_string(d.pu) + " -> "
-                                + std::to_string(target)));
+                        if (tracing)
+                            session.recordEvent(makeFaultEvent(
+                                TraceEventKind::Remap, -1, -1, c, target,
+                                engine.now(), engine.now(),
+                                "pu " + std::to_string(d.pu) + " -> "
+                                    + std::to_string(target)));
                         stats.remaps += 1;
                         chunk_pu[static_cast<std::size_t>(c)] = target;
                     }
@@ -432,11 +442,12 @@ VirtualTimeBackend::run(const core::Application& app,
                                          puOf(c));
                         if (target < 0)
                             continue; // nothing left; attempts abandon
-                        session.recordEvent(makeFaultEvent(
-                            TraceEventKind::Remap, -1, -1, c, target,
-                            engine.now(), engine.now(),
-                            "pu " + std::to_string(d.pu) + " -> "
-                                + std::to_string(target)));
+                        if (tracing)
+                            session.recordEvent(makeFaultEvent(
+                                TraceEventKind::Remap, -1, -1, c, target,
+                                engine.now(), engine.now(),
+                                "pu " + std::to_string(d.pu) + " -> "
+                                    + std::to_string(target)));
                         stats.remaps += 1;
                         chunk_pu[static_cast<std::size_t>(c)] = target;
                     }

@@ -24,41 +24,33 @@
 #define BT_RUNTIME_VIRTUAL_BACKEND_HPP
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "core/application.hpp"
 #include "core/schedule.hpp"
 #include "platform/perf_model.hpp"
 #include "runtime/run_types.hpp"
 
-namespace bt::sim {
-class Engine;
-}
-
 namespace bt::runtime {
 
 /**
  * Integrates SoC energy over a virtual-time run: between engine events
  * the set of active PU classes is constant, so power is piecewise
- * constant and integration is exact.
+ * constant and integration is exact. The caller reports each interval
+ * with its busy-class mask.
  */
 class EnergyMeter
 {
   public:
-    /** @param fill_active writes which PU classes are busy right now. */
-    EnergyMeter(const platform::PerfModel& model,
-                std::function<void(std::vector<bool>&)> fill_active);
+    explicit EnergyMeter(const platform::PerfModel& model);
 
-    /** Register on @p engine's interval observer. */
-    void attach(sim::Engine& engine);
+    /** Add [t0, t1) with the classes in @p active_pus (bit p = class
+     *  p) executing. */
+    void add(double t0, double t1, std::uint64_t active_pus);
 
     double joules() const { return joules_; }
 
   private:
     const platform::PerfModel& model_;
-    std::function<void(std::vector<bool>&)> fillActive_;
-    std::vector<bool> scratch_;
     double joules_ = 0.0;
 };
 

@@ -232,6 +232,30 @@ TEST(ProfilingTable, CsvRejectsNonFiniteCells)
     }
 }
 
+TEST(ProfilingTable, CsvRejectsDuplicatedCells)
+{
+    // Four rows for a 2 x 2 table, but (b, y) is missing and (a, x)
+    // appears twice: the row count alone cannot tell.
+    std::stringstream ss;
+    ss << "stage,pu,mean_s,stddev_s\n"
+       << "a,x,1e-3,0\n"
+       << "a,y,2e-3,0\n"
+       << "b,x,3e-3,0\n"
+       << "a,x,4e-3,0\n";
+    EXPECT_FALSE(ProfilingTable::loadCsv(ss).has_value());
+
+    // The same rows with the missing cell in place load fine.
+    std::stringstream ok;
+    ok << "stage,pu,mean_s,stddev_s\n"
+       << "a,x,1e-3,0\n"
+       << "a,y,2e-3,0\n"
+       << "b,x,3e-3,0\n"
+       << "b,y,4e-3,0\n";
+    const auto table = ProfilingTable::loadCsv(ok);
+    ASSERT_TRUE(table.has_value());
+    EXPECT_EQ(table->at(1, 1), 4e-3);
+}
+
 TEST(Schedule, HomogeneousHasOneChunk)
 {
     const Schedule s = Schedule::homogeneous(5, 2);

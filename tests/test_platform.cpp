@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "platform/devices.hpp"
@@ -244,6 +249,133 @@ TEST(Soc, PatternNames)
     EXPECT_STREQ(patternName(Pattern::Sparse), "sparse");
     EXPECT_STREQ(patternName(Pattern::Irregular), "irregular");
     EXPECT_STREQ(patternName(Pattern::Mixed), "mixed");
+}
+
+// ---------------------------------------------------------------------
+// The DES rate refresh (timesOf) against the per-index timeOf, over
+// every load set with up to two loads per PU class (duplicates
+// timeslice one class), with and without throttled clocks and ambient
+// cross-tenant demand.
+
+/** Stage profiles from compute-bound to memory-bound. */
+const WorkProfile kRefreshWorks[] = {
+    {2e9, 4e6, 0.97, Pattern::Dense},
+    {4e7, 6e8, 0.90, Pattern::Irregular},
+    {3e8, 2e8, 0.80, Pattern::Sparse},
+    {9e8, 5e7, 0.60, Pattern::Mixed},
+};
+
+/**
+ * Call @p visit(loads, clock_scale, ambient_gbps) for every non-empty
+ * load set of @p soc holding each PU class 0, 1 or 2 times, under four
+ * conditions: plain, throttled clocks, ambient demand, and both. The
+ * second loads of doubled classes follow all first loads, so same-class
+ * loads interleave with foreign ones in the demand fold.
+ */
+template <typename Visit>
+void
+forEachLoadSet(const SocDescription& soc, Visit visit)
+{
+    const int n = soc.numPus();
+    std::vector<double> throttled;
+    for (int p = 0; p < n; ++p)
+        throttled.push_back(0.55 + 0.1 * p);
+    int sets = 1;
+    for (int p = 0; p < n; ++p)
+        sets *= 3;
+    std::vector<Load> loads;
+    for (int code = 1; code < sets; ++code) {
+        loads.clear();
+        for (int copy = 1; copy <= 2; ++copy) {
+            int rest = code;
+            for (int p = 0; p < n; ++p, rest /= 3)
+                if (rest % 3 >= copy)
+                    loads.push_back(Load{
+                        &kRefreshWorks[(loads.size()
+                                        + static_cast<std::size_t>(p))
+                                       % std::size(kRefreshWorks)],
+                        p});
+        }
+        for (const bool throttle : {false, true})
+            for (const double ambient : {0.0, 7.5})
+                visit(std::span<const Load>(loads),
+                      throttle ? std::span<const double>(throttled)
+                               : std::span<const double>(),
+                      ambient);
+    }
+}
+
+/** FNV-1a over the bit patterns of timeOf(i) for every load set of
+ *  @p soc: pins the per-index model bit for bit. */
+std::uint64_t
+timeOfDigest(const SocDescription& soc)
+{
+    const PerfModel model(soc);
+    std::uint64_t h = 1469598103934665603ull;
+    forEachLoadSet(soc, [&](std::span<const Load> loads,
+                            std::span<const double> scale,
+                            double ambient) {
+        for (std::size_t i = 0; i < loads.size(); ++i) {
+            const double t = model.timeOf(i, loads, scale, ambient);
+            std::uint64_t bits;
+            std::memcpy(&bits, &t, sizeof bits);
+            h = (h ^ bits) * 1099511628211ull;
+        }
+    });
+    return h;
+}
+
+TEST(PerfModelRefresh, TimeOfMatchesRecordedDigest)
+{
+    // Recorded from the std::set-based model the rate refresh replaced.
+    EXPECT_EQ(timeOfDigest(pixel7a()), 0xb3b98a0e67dd0215ull);
+    EXPECT_EQ(timeOfDigest(jetsonOrinNano()), 0xf8409f2cf01ec965ull);
+    EXPECT_EQ(timeOfDigest(manycoreRig()), 0xd242ade6bbdfa0b5ull);
+}
+
+TEST(PerfModelRefresh, TimesOfEqualsTimeOfPerIndex)
+{
+    for (const auto& soc : {pixel7a(), jetsonOrinNano(), manycoreRig()}) {
+        const PerfModel model(soc);
+        std::vector<double> out;
+        std::size_t checked = 0;
+        forEachLoadSet(soc, [&](std::span<const Load> loads,
+                                std::span<const double> scale,
+                                double ambient) {
+            out.assign(loads.size(), -1.0);
+            model.timesOf(loads, scale, ambient, out);
+            for (std::size_t i = 0; i < loads.size(); ++i, ++checked) {
+                const double ref = model.timeOf(i, loads, scale, ambient);
+                // Bit for bit: EXPECT_EQ on doubles is exact.
+                ASSERT_EQ(out[i], ref)
+                    << soc.name << " load " << i << " of " << loads.size()
+                    << ", scale " << !scale.empty() << ", ambient "
+                    << ambient;
+            }
+        });
+        EXPECT_GT(checked, 0u) << soc.name;
+    }
+}
+
+TEST(Soc, ValidateRejectsMoreThan64PuClasses)
+{
+    SocDescription soc = manycoreRig();
+    const PuModel proto = soc.pus.front();
+    soc.pus.clear();
+    for (int p = 0; p < SocDescription::kMaxPus; ++p) {
+        soc.pus.push_back(proto);
+        soc.pus.back().label = "c" + std::to_string(p);
+    }
+    // 64 classes, the limit itself, are fine.
+    const PerfModel at_limit(soc);
+    EXPECT_GT(at_limit.isolatedTime(kRefreshWorks[0],
+                                    SocDescription::kMaxPus - 1),
+              0.0);
+
+    soc.pus.push_back(proto);
+    soc.pus.back().label = "one_too_many";
+    EXPECT_DEATH_IF_SUPPORTED(soc.validate(),
+                              "has 65 PU classes; at most 64");
 }
 
 } // namespace

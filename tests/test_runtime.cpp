@@ -17,6 +17,7 @@
 #include <mutex>
 #include <sstream>
 
+#include "apps/alexnet.hpp"
 #include "apps/features.hpp"
 #include "apps/octree_app.hpp"
 #include "core/dynamic_executor.hpp"
@@ -796,6 +797,244 @@ TEST(TraceTimeline, ChromeJsonEscapesHostileNames)
     roundTrips(pu);
     roundTrips(backend);
     roundTrips(note);
+}
+
+// ---------------------------------------------------------------------
+// Trace recording is pure observation. The autotuner and the baselines
+// measure untraced and only the deployment run records, so every
+// virtual-time figure must come out bit-identical with recordTrace on
+// and off, and equal to the values the runtime produced before its
+// refresh path was rewritten.
+
+/** Every measured field of two runs, compared bit for bit. */
+void
+expectSameMeasurement(const runtime::RunResult& a,
+                      const runtime::RunResult& b, const std::string& label)
+{
+    EXPECT_EQ(a.tasks, b.tasks) << label;
+    EXPECT_EQ(a.makespanSeconds, b.makespanSeconds) << label;
+    EXPECT_EQ(a.taskIntervalSeconds, b.taskIntervalSeconds) << label;
+    EXPECT_EQ(a.meanLatencySeconds, b.meanLatencySeconds) << label;
+    EXPECT_EQ(a.energyJoules, b.energyJoules) << label;
+    EXPECT_EQ(a.chunkBusyFraction, b.chunkBusyFraction) << label;
+    EXPECT_EQ(a.validationErrors, b.validationErrors) << label;
+    const runtime::RecoveryStats& x = a.recovery;
+    const runtime::RecoveryStats& y = b.recovery;
+    EXPECT_EQ(x.transientFaults, y.transientFaults) << label;
+    EXPECT_EQ(x.timeouts, y.timeouts) << label;
+    EXPECT_EQ(x.stragglers, y.stragglers) << label;
+    EXPECT_EQ(x.retries, y.retries) << label;
+    EXPECT_EQ(x.remaps, y.remaps) << label;
+    EXPECT_EQ(x.dropouts, y.dropouts) << label;
+    EXPECT_EQ(x.replans, y.replans) << label;
+    EXPECT_EQ(x.unrecovered, y.unrecovered) << label;
+    EXPECT_EQ(x.backoffSeconds, y.backoffSeconds) << label;
+}
+
+/** Run @p schedule traced and untraced under @p cfg; both must agree
+ *  and only the traced run may carry events. */
+runtime::RunResult
+expectTraceIsObservationOnly(const platform::PerfModel& model,
+                             const Application& app,
+                             const Schedule& schedule, SimExecConfig cfg)
+{
+    cfg.recordTrace = true;
+    const auto traced = SimExecutor(model, cfg).execute(app, schedule);
+    cfg.recordTrace = false;
+    const auto bare = SimExecutor(model, cfg).execute(app, schedule);
+    const std::string label
+        = model.soc().name + " " + schedule.compactString();
+    expectSameMeasurement(traced, bare, label);
+    EXPECT_GE(traced.trace.size(),
+              static_cast<std::size_t>(cfg.numTasks * app.numStages()))
+        << label;
+    EXPECT_TRUE(bare.trace.empty()) << label;
+    return traced;
+}
+
+TEST(TraceContract, EveryScheduleBitIdenticalTracedAndUntraced)
+{
+    struct Pair
+    {
+        platform::SocDescription soc;
+        Application app;
+    };
+    const Pair pairs[] = {
+        {platform::pixel7a(), apps::octreeApp()},
+        {platform::jetsonOrinNano(), apps::alexnetDense()},
+        {platform::jetsonOrinNanoLp(), apps::alexnetSparse()},
+    };
+    SimExecConfig cfg;
+    cfg.noiseSalt = 0x7ace;
+    cfg.numTasks = 10; // warmup 3 plus a steady state, ~2000 schedules
+    for (const Pair& p : pairs) {
+        const platform::PerfModel model(p.soc);
+        for (const auto& schedule : enumerateSchedules(
+                 p.app.numStages(), p.soc.numPus()))
+            expectTraceIsObservationOnly(model, p.app, schedule, cfg);
+    }
+}
+
+/** A fault plan that exercises every recovery path of the virtual
+ *  backend: transients, straggler timeouts, a throttle window and a
+ *  GPU dropout. */
+SimExecConfig
+faultyConfig()
+{
+    SimExecConfig cfg;
+    cfg.noiseSalt = 0xfeedface;
+    cfg.faults.transients.push_back({-1, -1, 0.2});
+    cfg.faults.stragglers.push_back({-1, 0.1, 40.0});
+    cfg.faults.slowdowns.push_back({0, 0.0, 0.05, 0.4});
+    cfg.faults.dropouts.push_back({3, 0.02});
+    return cfg;
+}
+
+TEST(TraceContract, FaultPlanRunBitIdenticalTracedAndUntraced)
+{
+    const auto soc = platform::pixel7a();
+    const platform::PerfModel model(soc);
+    const auto app = apps::octreeApp();
+    const auto schedule = Schedule::fromAssignment({0, 1, 1, 3, 3, 3, 2});
+
+    SimExecConfig degrade = faultyConfig();
+    const auto run
+        = expectTraceIsObservationOnly(model, app, schedule, degrade);
+    EXPECT_GT(run.recovery.transientFaults, 0);
+    EXPECT_GT(run.recovery.timeouts, 0);
+    EXPECT_EQ(run.recovery.replans, 1);
+
+    // Per-chunk failover instead of a replan, and no retries: every
+    // transient fails over at once.
+    SimExecConfig failover = faultyConfig();
+    failover.recovery.degrade = false;
+    failover.recovery.maxRetries = 0;
+    const auto alt
+        = expectTraceIsObservationOnly(model, app, schedule, failover);
+    EXPECT_GT(alt.recovery.remaps, 1);
+}
+
+/** Values of one run pinned as hex floats (bit-exact). */
+struct PinnedRun
+{
+    double makespan;
+    double interval;
+    double latency;
+    double energy;
+};
+
+std::string
+hexFloat(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%a", v);
+    return buf;
+}
+
+/** @p run in PinnedRun initializer syntax, printed on a mismatch so an
+ *  intended change can be re-recorded. */
+std::string
+pinnedLiteral(const runtime::RunResult& run)
+{
+    return "{" + hexFloat(run.makespanSeconds) + ", "
+        + hexFloat(run.taskIntervalSeconds) + ", "
+        + hexFloat(run.meanLatencySeconds) + ", "
+        + hexFloat(run.energyJoules) + "}";
+}
+
+void
+expectPinned(const runtime::RunResult& run, const PinnedRun& pin,
+             const std::string& label)
+{
+    EXPECT_EQ(run.makespanSeconds, pin.makespan) << label;
+    EXPECT_EQ(run.taskIntervalSeconds, pin.interval) << label;
+    EXPECT_EQ(run.meanLatencySeconds, pin.latency) << label;
+    EXPECT_EQ(run.energyJoules, pin.energy) << label;
+    if (::testing::Test::HasFailure())
+        ADD_FAILURE() << label << " actual: " << pinnedLiteral(run);
+}
+
+TEST(TraceContract, PinnedMeasurements)
+{
+    struct Case
+    {
+        const char* label;
+        platform::SocDescription soc;
+        Application app;
+        std::vector<int> assignment;
+        PinnedRun pin;
+    };
+    // The pipeline_micro scenarios under a fixed salt. Every value was
+    // recorded from the runtime before its refresh path was rewritten.
+    const Case cases[] = {
+        {"pixel_dense", platform::pixel7a(), apps::alexnetDense(),
+         {0, 0, 0, 0, 1, 1, 1, 1, 1},
+         {0x1.e7e1b3335081cp+1, 0x1.000eda42f59d2p-3,
+          0x1.8df9d7f889ba6p-3, 0x1.555c622fe572p+3}},
+        {"pixel_octree", platform::pixel7a(), apps::octreeApp(),
+         {0, 1, 1, 3, 3, 3, 2},
+         {0x1.30f2f9658dd7p-3, 0x1.3a653ac85aa1p-8,
+          0x1.6cd0a1759dc7ep-7, 0x1.8e5621a37973bp-1}},
+        {"jetson_octree", platform::jetsonOrinNano(), apps::octreeApp(),
+         {0, 0, 0, 1, 1, 1, 1},
+         {0x1.107d6a3d9a202p-5, 0x1.1e1cd8b91eab4p-10,
+          0x1.d14d4150e0d7bp-10, 0x1.181d79b095c96p-1}},
+    };
+    for (const Case& c : cases) {
+        const platform::PerfModel model(c.soc);
+        SimExecConfig cfg;
+        cfg.noiseSalt = 0x7ace;
+        for (const bool trace : {true, false}) {
+            cfg.recordTrace = trace;
+            expectPinned(SimExecutor(model, cfg).execute(
+                             c.app, Schedule::fromAssignment(c.assignment)),
+                         c.pin, c.label);
+        }
+    }
+
+    // A faulty run: its recovery decisions are pinned too.
+    const auto soc = platform::pixel7a();
+    const platform::PerfModel model(soc);
+    const auto app = apps::octreeApp();
+    const auto schedule = Schedule::fromAssignment({0, 1, 1, 3, 3, 3, 2});
+    for (const bool trace : {true, false}) {
+        SimExecConfig cfg = faultyConfig();
+        cfg.recordTrace = trace;
+        const auto run = SimExecutor(model, cfg).execute(app, schedule);
+        expectPinned(run,
+                     {0x1.25be79d112a9fp-1, 0x1.2420c29879df5p-6,
+                      0x1.3e2dd4b07d0d3p-4, 0x1.19676393661fep+1},
+                     "faulty");
+        const runtime::RecoveryStats& r = run.recovery;
+        EXPECT_EQ(r.transientFaults, 57);
+        EXPECT_EQ(r.timeouts, 24);
+        EXPECT_EQ(r.stragglers, 24);
+        EXPECT_EQ(r.retries, 80);
+        EXPECT_EQ(r.remaps, 2);
+        EXPECT_EQ(r.replans, 1);
+        EXPECT_EQ(r.unrecovered, 0);
+        EXPECT_EQ(r.backoffSeconds, 0x1.6bb98c7e2823ep-7);
+        if (::testing::Test::HasFailure())
+            ADD_FAILURE() << "recovery: " << r.transientFaults << ' '
+                          << r.timeouts << ' ' << r.stragglers << ' '
+                          << r.retries << ' ' << r.remaps << ' '
+                          << r.replans << ' ' << r.unrecovered << ' '
+                          << hexFloat(r.backoffSeconds);
+    }
+
+    // The greedy dynamic baseline shares the energy meter and the rate
+    // refresh.
+    const auto profile = Profiler(model).profile(app);
+    for (const bool trace : {true, false}) {
+        DynamicExecConfig cfg;
+        cfg.noiseSalt = 0x7ace;
+        cfg.recordTrace = trace;
+        expectPinned(
+            DynamicExecutor(model, profile.interference, cfg).execute(app),
+            {0x1.41255d930185cp-4, 0x1.3a50348b0d0abp-9,
+             0x1.99b682dedda16p-7, 0x1.3bd0785a909b8p-1},
+            "greedy");
+    }
 }
 
 } // namespace
