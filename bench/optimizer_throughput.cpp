@@ -5,16 +5,13 @@
  * profile -> optimize -> tune plan costs end to end, and how fast the
  * graceful-degradation replan path recovers after a PU dropout.
  *
- * Each benchmark runs in two flavours sharing one binary:
- *   *_SeedPath    — the from-scratch baseline (memoization off, serial
- *                   tuning), matching the pre-throughput-layer code;
- *   *_Throughput  — the memoized evaluator + (where it applies) the
- *                   parallel tuning campaign.
- * Comparing the two inside the same snapshot gives the end-to-end plan
- * speedup without cross-revision noise. The predicted_best_latency_ms /
- * replan-assignment counters are semantic anchors: both flavours must
- * report identical values (the memoized path is bit-exact), so any
- * divergence in the JSON is a correctness regression, not noise.
+ * The enumeration, end-to-end and replan rows plan with the default
+ * exact engine (Exhaustive); the large-instance row anneals. The
+ * predicted_best_latency_ms /
+ * measured_best_latency_ms / candidates_tuned counters and the replan
+ * label are semantic anchors: plans are deterministic, so any change
+ * against the committed snapshot is a correctness regression, not
+ * noise.
  */
 
 #include <benchmark/benchmark.h>
@@ -36,21 +33,12 @@ namespace {
 
 using namespace bt;
 
-core::PlannerSpec
-exhaustiveConfig(bool memoize)
-{
-    core::PlannerSpec cfg;
-    cfg.engine = core::PlannerEngine::Exhaustive;
-    cfg.memoize = memoize;
-    return cfg;
-}
-
 /**
  * Schedules/second through the exhaustive engine: every enumerable
  * schedule of AlexNet-sparse on the Pixel is scored per iteration.
  */
 void
-BM_EnumerationThroughput(benchmark::State& state, bool memoize)
+BM_EnumerationThroughput_Throughput(benchmark::State& state)
 {
     const auto soc = platform::pixel7a();
     const platform::PerfModel model(soc);
@@ -58,43 +46,30 @@ BM_EnumerationThroughput(benchmark::State& state, bool memoize)
     const core::Profiler profiler(model);
     const auto profile = profiler.profile(app);
 
-    const auto space = core::enumerateSchedules(app.numStages(),
-                                                soc.numPus());
+    const auto space = core::scheduleSpaceSize(app.numStages(),
+                                               soc.numPus());
 
     double best_latency = 0.0;
     for (auto _ : state) {
-        core::Optimizer optimizer(soc, profile.interference,
-                                  exhaustiveConfig(memoize));
+        core::Optimizer optimizer(soc, profile.interference);
         const auto cands = optimizer.optimize();
         best_latency = cands.front().predictedLatency;
         benchmark::ClobberMemory();
     }
-    state.counters["schedule_space"]
-        = static_cast<double>(space.size());
+    state.counters["schedule_space"] = static_cast<double>(space);
     state.counters["predicted_best_latency_ms"] = best_latency * 1e3;
-    state.SetItemsProcessed(
-        state.iterations() * static_cast<std::int64_t>(space.size()));
+    state.SetItemsProcessed(state.iterations()
+                            * static_cast<std::int64_t>(space));
 }
-void
-BM_EnumerationThroughput_SeedPath(benchmark::State& state)
-{
-    BM_EnumerationThroughput(state, false);
-}
-void
-BM_EnumerationThroughput_Throughput(benchmark::State& state)
-{
-    BM_EnumerationThroughput(state, true);
-}
-BENCHMARK(BM_EnumerationThroughput_SeedPath);
 BENCHMARK(BM_EnumerationThroughput_Throughput);
 
 /**
- * End-to-end plan latency: profile -> optimize (constraint solver,
- * default K = 20) -> autotune all candidates. The acceptance anchor for
- * the throughput-oriented planning layer.
+ * End-to-end plan latency: profile -> optimize (default K = 20) ->
+ * autotune all candidates on every hardware thread. The acceptance
+ * anchor for the planning layer.
  */
 void
-BM_PlanEndToEnd(benchmark::State& state, bool memoize, int threads)
+BM_PlanEndToEnd_Throughput(benchmark::State& state)
 {
     const auto soc = platform::pixel7a();
     const platform::PerfModel model(soc);
@@ -103,16 +78,15 @@ BM_PlanEndToEnd(benchmark::State& state, bool memoize, int threads)
     core::SimExecConfig exec_cfg;
     exec_cfg.noiseSalt = bench::benchNoiseSalt();
     const core::SimExecutor executor(model, exec_cfg);
-
-    core::PlannerSpec opt_cfg;
-    opt_cfg.memoize = memoize;
+    const unsigned hw = std::thread::hardware_concurrency();
+    const int threads = static_cast<int>(hw == 0 ? 1 : hw);
 
     double best_measured = 0.0;
     int candidates_tuned = 0;
     for (auto _ : state) {
         const core::Profiler profiler(model);
         const auto profile = profiler.profile(app);
-        core::Optimizer optimizer(soc, profile.interference, opt_cfg);
+        core::Optimizer optimizer(soc, profile.interference);
         const auto cands = optimizer.optimize();
         const core::AutoTuner tuner(executor, 10.0, threads);
         const auto report = tuner.tune(app, cands);
@@ -125,30 +99,15 @@ BM_PlanEndToEnd(benchmark::State& state, bool memoize, int threads)
     state.counters["measured_best_latency_ms"] = best_measured * 1e3;
     state.SetItemsProcessed(state.iterations() * candidates_tuned);
 }
-void
-BM_PlanEndToEnd_SeedPath(benchmark::State& state)
-{
-    BM_PlanEndToEnd(state, false, 1);
-}
-void
-BM_PlanEndToEnd_Throughput(benchmark::State& state)
-{
-    const unsigned hw = std::thread::hardware_concurrency();
-    BM_PlanEndToEnd(state, true,
-                    static_cast<int>(hw == 0 ? 1 : hw));
-}
-BENCHMARK(BM_PlanEndToEnd_SeedPath)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PlanEndToEnd_Throughput)->Unit(benchmark::kMillisecond);
 
 /**
  * Replan latency after a simulated PU dropout: the fault-recovery
- * critical path. SeedPath rebuilds the model table and re-scores the
- * surviving space per replan (the old replanOnSurvivors); Throughput
- * replans through the shared ReplanPlanner cache, whose second and
- * later dropouts hit the warm prediction memo.
+ * critical path, two successive replans through one ReplanPlanner,
+ * whose second dropout hits the warm prediction memo.
  */
 void
-BM_ReplanAfterDropout(benchmark::State& state, bool cached)
+BM_ReplanAfterDropout_Throughput(benchmark::State& state)
 {
     const auto soc = platform::pixel7a();
     const platform::PerfModel model(soc);
@@ -163,35 +122,15 @@ BM_ReplanAfterDropout(benchmark::State& state, bool cached)
 
     std::string plan_digest;
     for (auto _ : state) {
-        if (cached) {
-            runtime::ReplanPlanner planner(model, app);
-            const auto a = planner.replan(first_loss);
-            const auto b = planner.replan(second_loss);
-            plan_digest = a.compactString() + "|" + b.compactString();
-        } else {
-            const auto a
-                = runtime::replanOnSurvivors(model, app, first_loss);
-            const auto b
-                = runtime::replanOnSurvivors(model, app, second_loss);
-            plan_digest = a.compactString() + "|" + b.compactString();
-        }
+        runtime::ReplanPlanner planner(model, app);
+        const auto a = planner.replan(first_loss);
+        const auto b = planner.replan(second_loss);
+        plan_digest = a.compactString() + "|" + b.compactString();
         benchmark::ClobberMemory();
     }
     state.SetLabel(plan_digest);
     state.SetItemsProcessed(state.iterations() * 2);
 }
-void
-BM_ReplanAfterDropout_SeedPath(benchmark::State& state)
-{
-    BM_ReplanAfterDropout(state, false);
-}
-void
-BM_ReplanAfterDropout_Throughput(benchmark::State& state)
-{
-    BM_ReplanAfterDropout(state, true);
-}
-BENCHMARK(BM_ReplanAfterDropout_SeedPath)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ReplanAfterDropout_Throughput)
     ->Unit(benchmark::kMillisecond);
 
@@ -201,8 +140,8 @@ BENCHMARK(BM_ReplanAfterDropout_Throughput)
  * assignment variables, far past the exact engines' enumeration limit
  * (they refuse the instance outright; exact_enumerable records the
  * refusal predicate) - under an active C6 budget, inside a fixed move
- * budget. Single flavour: there is no from-scratch exact baseline at
- * this scale, which is the point of the tier.
+ * budget. There is no exact baseline at this scale, which is the
+ * point of the tier.
  */
 void
 BM_LargeInstanceAnnealed(benchmark::State& state)

@@ -27,9 +27,10 @@
 #                        pipeline makespan, and the seeded fault runs
 #                        pin their recovery counters
 #   BENCH_optimizer.json optimizer_throughput — plan-throughput suite:
-#                        *_SeedPath vs *_Throughput pairs give the
-#                        memoized/parallel planning speedup inside one
-#                        snapshot
+#                        exhaustive-engine enumeration, end-to-end plan
+#                        and dropout replans; the predicted/measured
+#                        latency counters and replan labels are
+#                        semantic anchors
 #   BENCH_service.json   service_load — serving load generator:
 #                        BM_Serve_ColdPlan vs BM_Serve_Cached give the
 #                        schedule-cache serving speedup (achieved_rps)

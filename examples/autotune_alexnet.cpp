@@ -43,9 +43,10 @@ main()
                 "minimal gapness %.3f ms\n",
                 st.unrestrictedLatency * 1e3, st.latencyBound * 1e3,
                 st.requiredPus, st.minimalGapness * 1e3);
-    std::printf("Level 2: %zu candidates (%llu solver nodes)\n\n",
-                candidates.size(),
-                static_cast<unsigned long long>(st.solverNodes));
+    std::printf("Level 2: %zu candidates (%s engine, %llu-schedule "
+                "space)\n\n",
+                candidates.size(), core::plannerEngineName(st.engine),
+                static_cast<unsigned long long>(st.spaceSize));
 
     // Level 3: autotuning.
     const core::SimExecutor executor(model);

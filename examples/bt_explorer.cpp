@@ -33,6 +33,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "apps/alexnet.hpp"
 #include "apps/app_check.hpp"
@@ -57,7 +58,7 @@ struct Options
 {
     std::string device = "pixel";
     std::string app = "octree";
-    std::string engine = "solver";
+    std::string engine = "exhaustive";
     int candidates = 20;
     bool no_autotune = false;
     bool energy = false;
@@ -109,8 +110,8 @@ parse(int argc, char** argv, Options& opt)
     flags.value("--app", &opt.app, "NAME",
                 "dense|sparse|octree (default octree)");
     flags.value("--engine", &opt.engine, "NAME",
-                "planner engine: solver|exhaustive|annealed (default "
-                "solver; every mode honors it)");
+                "planner engine: exhaustive|solver|annealed (default "
+                "exhaustive; every mode honors it)");
     flags.value("--candidates", &opt.candidates, "K",
                 "optimizer output size (default 20)");
     flags.flag("--no-autotune", &opt.no_autotune,
@@ -128,7 +129,8 @@ parse(int argc, char** argv, Options& opt)
     flags.value("--save-profile", &opt.save_profile, "FILE",
                 "write the interference table as CSV");
     flags.value("--load-profile", &opt.load_profile, "FILE",
-                "reuse a cached interference table");
+                "reuse a cached interference table (its stages and PU "
+                "classes must match --app and --device)");
     flags.value("--trace", &opt.trace_file, "FILE",
                 "write the deployed run's timeline as Chrome trace "
                 "JSON (chrome://tracing / Perfetto)");
@@ -208,6 +210,41 @@ runLintFixtures()
 
 core::Application pickApp(const std::string& name);
 platform::SocDescription pickDevice(const std::string& name);
+
+std::string
+joined(const std::vector<std::string>& names)
+{
+    std::string out;
+    for (const auto& n : names)
+        out += (out.empty() ? "" : ",") + n;
+    return out;
+}
+
+/**
+ * Why @p table cannot be @p app's profile on @p soc, or "" if it can:
+ * its rows must name the app's stages and its columns the device's PU
+ * classes, both in order, or planning and deployment would index the
+ * wrong cells.
+ */
+std::string
+profileMismatch(const core::ProfilingTable& table,
+                const core::Application& app,
+                const platform::SocDescription& soc)
+{
+    std::vector<std::string> stages;
+    for (const auto& s : app.stages())
+        stages.push_back(s.name());
+    if (table.stages() != stages)
+        return "stages [" + joined(table.stages()) + "] are not "
+            + app.name() + "'s [" + joined(stages) + "]";
+    std::vector<std::string> pus;
+    for (const auto& p : soc.pus)
+        pus.push_back(p.label);
+    if (table.pus() != pus)
+        return "PU classes [" + joined(table.pus()) + "] are not "
+            + soc.name + "'s [" + joined(pus) + "]";
+    return "";
+}
 
 /** `--lint`: static preflight of the selected workload(s) - pipeline
  *  IO, planner spec, run config and fault plan - with no execution. */
@@ -493,6 +530,12 @@ main(int argc, char** argv)
         if (!loaded) {
             std::fprintf(stderr, "could not parse %s\n",
                          opt.load_profile.c_str());
+            return 1;
+        }
+        const std::string mismatch = profileMismatch(*loaded, app, soc);
+        if (!mismatch.empty()) {
+            std::fprintf(stderr, "profile %s does not fit: %s\n",
+                         opt.load_profile.c_str(), mismatch.c_str());
             return 1;
         }
         profile.interference = *loaded;

@@ -65,14 +65,10 @@ Annealer::maybeSweep(const AnnealSpec& spec)
     const std::uint64_t space = scheduleSpaceSize(numStages_, m_eff);
     if (space > static_cast<std::uint64_t>(spec.moveBudget / 4))
         return;
-    for (const Schedule& s : enumerateSchedules(numStages_, m_eff)) {
-        // enumerateSchedules indexes PUs 0..m_eff-1; map onto the
-        // allowed set (sorted, so restricted sweeps stay canonical).
-        std::vector<Chunk> chunks = s.chunks();
-        for (Chunk& c : chunks)
-            c.pu = allowed_[static_cast<std::size_t>(c.pu)];
+    // allowed_ is sorted, so restricted sweeps stay canonical.
+    for (const Schedule& s : enumerateSchedulesOver(numStages_, allowed_)) {
         ++proposed_;
-        evaluate(chunks);
+        evaluate(s.chunks());
     }
     exhausted_ = true;
 }

@@ -2,7 +2,7 @@
  * @file
  * Annealed local-search planning engine (PlannerEngine::Annealed): a
  * seeded, deterministic simulated-annealing walk over the schedule
- * space, with the memoized ScheduleEvaluator as the inner-loop oracle.
+ * space, with the caching ScheduleEvaluator as the inner-loop oracle.
  * This is how the planner scales past enumerable spaces — the exact
  * engines cap out around 36 variables (stages x PU classes), while a
  * move evaluation here is a table lookup, so millions of moves are

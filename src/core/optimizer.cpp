@@ -18,19 +18,19 @@ const char*
 plannerEngineName(PlannerEngine engine)
 {
     switch (engine) {
-      case PlannerEngine::Exhaustive:
-        return "exhaustive";
+      case PlannerEngine::Solver:
+        return "solver";
       case PlannerEngine::Annealed:
         return "annealed";
       default:
-        return "solver";
+        return "exhaustive";
     }
 }
 
 PlannerEngine
 plannerEngineFromName(const std::string& name)
 {
-    if (name == "solver" || name == "constraint_solver")
+    if (name == "solver")
         return PlannerEngine::Solver;
     if (name == "exhaustive")
         return PlannerEngine::Exhaustive;
@@ -72,9 +72,9 @@ PlannerSpec::fingerprint() const
     mixDouble(contention.ambientGbps);
     mixDouble(contention.budgetGbps);
     mix(contention.realTime ? 1 : 0);
-    // Exact engines (and memoize) are bit-identical by contract and
-    // stay out of the hash; a non-exactness-preserving engine's result
-    // depends on its identity and every annealing knob, so mix them in.
+    // Exact engines are bit-identical by contract and stay out of the
+    // hash; a non-exactness-preserving engine's result depends on its
+    // identity and every annealing knob, so mix them in.
     if (!exactnessPreserving()) {
         mix(0xA22EA1EDull); // annealed-engine marker
         mix(anneal.seed);
@@ -88,15 +88,14 @@ PlannerSpec::fingerprint() const
 
 namespace {
 
-/// Penalty offsets making the level-2 objective lexicographic: schedules
+/// Penalty offsets folding the rank class into one cost, for the
+/// solver's level-1 minimizations and the annealer's guides: schedules
 /// violating the latency/utilization feasibility class sort after those
 /// merely exceeding the gapness budget, which sort after fully feasible
-/// ones. Latencies are in seconds (~1e-3), so the offsets dominate.
+/// ones. Latencies are in seconds (~1e-3), so the offsets dominate. The
+/// final selections compare (class, score) exactly instead.
 constexpr double kGapnessPenalty = 1e6;
 constexpr double kFeasibilityPenalty = 2e6;
-/// C6 violations (aggregate demand over budget) sort after everything,
-/// including out-of-class schedules.
-constexpr double kC6Penalty = 4e6;
 
 /**
  * Plain-data ranking record of one schedule: what the planner's total
@@ -187,40 +186,6 @@ buildScheduleModel(solver::Model& model, int num_stages, int num_pus)
     return grid;
 }
 
-Schedule
-scheduleFromAssignment(const VarGrid& grid,
-                       const solver::Assignment& assignment)
-{
-    std::vector<int> stage_to_pu(static_cast<std::size_t>(
-        grid.numStages));
-    for (int i = 0; i < grid.numStages; ++i) {
-        int chosen = -1;
-        for (int c = 0; c < grid.numPus; ++c) {
-            if (assignment.value(grid.at(i, c))) {
-                BT_ASSERT(chosen < 0, "two PUs for one stage");
-                chosen = c;
-            }
-        }
-        BT_ASSERT(chosen >= 0, "stage ", i, " unassigned");
-        stage_to_pu[static_cast<std::size_t>(i)] = chosen;
-    }
-    return Schedule::fromAssignment(stage_to_pu);
-}
-
-/** Blocking clause C5: forbid this exact assignment. */
-void
-blockSchedule(solver::Model& model, const VarGrid& grid,
-              const Schedule& schedule)
-{
-    const auto assignment = schedule.toAssignment();
-    std::vector<solver::Lit> clause;
-    clause.reserve(assignment.size());
-    for (int i = 0; i < grid.numStages; ++i)
-        clause.push_back(solver::neg(
-            grid.at(i, assignment[static_cast<std::size_t>(i)])));
-    model.addClause(std::move(clause));
-}
-
 /** (first stage, last stage, pu) identity of one chunk assignment. */
 using ChunkKey = std::tuple<int, int, int>;
 
@@ -244,18 +209,6 @@ bottleneckKey(const Schedule& s, const ProfilingTable& table)
         }
     }
     return keyOf(s.chunks()[static_cast<std::size_t>(best)]);
-}
-
-/** Forbid ever assigning this chunk's stages to this PU again. */
-void
-blockChunk(solver::Model& model, const VarGrid& grid,
-           const ChunkKey& key)
-{
-    const auto [first, last, pu] = key;
-    std::vector<solver::Lit> clause;
-    for (int i = first; i <= last; ++i)
-        clause.push_back(solver::neg(grid.at(i, pu)));
-    model.addClause(std::move(clause));
 }
 
 /** Stretched copy of @p base: each cell scaled by the contention
@@ -366,18 +319,6 @@ addC6(solver::Model& model, const VarGrid& grid,
 } // namespace
 
 Optimizer::Optimizer(const platform::SocDescription& soc_,
-                     const ProfilingTable& table_, PlannerSpec spec,
-                     ScheduleEvaluator* shared_eval,
-                     const platform::ContentionProfile* contention)
-    : Optimizer(soc_, table_, [&] {
-          spec.sharedEvaluator = shared_eval;
-          spec.contentionProfile = contention;
-          return std::move(spec);
-      }())
-{
-}
-
-Optimizer::Optimizer(const platform::SocDescription& soc_,
                      const ProfilingTable& table_, PlannerSpec spec)
     : soc(soc_), baseTable_(table_), config(std::move(spec)),
       contention_(config.contentionProfile),
@@ -429,10 +370,7 @@ Optimizer::Optimizer(const platform::SocDescription& soc_,
         BT_ASSERT(&config.sharedEvaluator->table() == &baseTable_,
                   "shared evaluator built over a different table");
         eval_ = config.sharedEvaluator;
-    } else if (config.memoize
-               || config.engine == PlannerEngine::Annealed) {
-        // The annealed engine always evaluates through the memo - its
-        // whole premise is that move evaluation is a cache lookup.
+    } else {
         ownedEval_ = std::make_unique<ScheduleEvaluator>(
             soc, baseTable_, powerModel, contention_);
         eval_ = ownedEval_.get();
@@ -449,6 +387,16 @@ Optimizer::puAllowed(int pu) const
         != config.allowedPus.end();
 }
 
+std::vector<int>
+Optimizer::allowedPus() const
+{
+    std::vector<int> allowed;
+    for (int c = 0; c < soc.numPus(); ++c)
+        if (puAllowed(c))
+            allowed.push_back(c);
+    return allowed;
+}
+
 bool
 Optimizer::demandOk(std::span<const int> stage_to_pu) const
 {
@@ -456,59 +404,6 @@ Optimizer::demandOk(std::span<const int> stage_to_pu) const
         return true;
     return contention_->aggregateDemandMilli(stage_to_pu)
         <= budgetMilli_;
-}
-
-bool
-Optimizer::demandOk(const Schedule& s) const
-{
-    if (!c6Active_)
-        return true;
-    const auto assign = s.toAssignment();
-    return demandOk(std::span<const int>(assign));
-}
-
-Prediction
-Optimizer::predict(const Schedule& s) const
-{
-    if (eval_ != nullptr)
-        return eval_->predict(s, bucket_);
-
-    Prediction p;
-    p.latency = s.bottleneckTime(table);
-    p.gapness = s.gapness(table);
-    p.numChunks = s.numChunks();
-    if (contention_ != nullptr) {
-        // Aggregate demand: per chunk, the hungriest stage; summed.
-        for (const auto& chunk : s.chunks()) {
-            std::int64_t d = 0;
-            for (int i = chunk.firstStage; i <= chunk.lastStage; ++i)
-                d = std::max(d, contention_->demandMilli(i, chunk.pu));
-            p.demandMilli += d;
-        }
-        p.demandGbps = static_cast<double>(p.demandMilli) / 1000.0;
-    }
-
-    // Predicted per-task energy: each used PU is active for its chunk
-    // time (duty-cycled against the bottleneck interval), idle for the
-    // rest; unused PUs idle throughout; plus the uncore floor.
-    const double interval = p.latency;
-    const int busy_others = s.numChunks() - 1;
-    double energy = soc.basePowerW * interval;
-    std::vector<bool> used(static_cast<std::size_t>(soc.numPus()),
-                           false);
-    for (int ch = 0; ch < s.numChunks(); ++ch) {
-        const int pu = s.chunks()[static_cast<std::size_t>(ch)].pu;
-        used[static_cast<std::size_t>(pu)] = true;
-        const double active = s.chunkTime(table, ch);
-        energy += active * powerModel.activePowerW(pu, busy_others)
-            + std::max(0.0, interval - active)
-                * soc.pu(pu).idlePowerW;
-    }
-    for (int pu = 0; pu < soc.numPus(); ++pu)
-        if (!used[static_cast<std::size_t>(pu)])
-            energy += interval * soc.pu(pu).idlePowerW;
-    p.energyJ = energy;
-    return p;
 }
 
 Candidate
@@ -521,12 +416,6 @@ Optimizer::makeCandidate(Schedule s, const Prediction& p)
     c.predictedEnergyJ = p.energyJ;
     c.predictedDemandGbps = p.demandGbps;
     return c;
-}
-
-Candidate
-Optimizer::makeCandidate(const Schedule& s) const
-{
-    return makeCandidate(s, predict(s));
 }
 
 double
@@ -611,9 +500,7 @@ Optimizer::optimize()
         = c6Active_ ? config.contention.budgetGbps : 0.0;
     stats_.c6Relaxed = c6Relaxed_;
 
-    int allowed_count = 0;
-    for (int c = 0; c < soc.numPus(); ++c)
-        allowed_count += puAllowed(c) ? 1 : 0;
+    const int allowed_count = static_cast<int>(allowedPus().size());
     BT_ASSERT(allowed_count > 0, "allowedPus admits no PU");
     stats_.spaceSize
         = scheduleSpaceSize(table.numStages(), allowed_count);
@@ -637,10 +524,8 @@ Optimizer::optimize()
     for (const auto& c : cands)
         if (rankClass(c) == 0)
             ++stats_.candidatesWithinBound;
-    if (eval_ != nullptr) {
-        stats_.evalHits = eval_->stats().hits;
-        stats_.evalMisses = eval_->stats().misses;
-    }
+    stats_.evalHits = eval_->stats().hits;
+    stats_.evalMisses = eval_->stats().misses;
     return cands;
 }
 
@@ -663,294 +548,172 @@ Optimizer::optimizeWithSolver()
     // C6: aggregate-bandwidth cap over the allowed columns. The
     // feasibility pre-check in the constructor guarantees the model
     // stays satisfiable.
-    if (c6Active_) {
-        std::vector<int> allowed;
-        for (int c = 0; c < m; ++c)
-            if (puAllowed(c))
-                allowed.push_back(c);
-        addC6(model, grid, *contention_, budgetMilli_, allowed);
-    }
+    if (c6Active_)
+        addC6(model, grid, *contention_, budgetMilli_, allowedPus());
 
-    if (eval_ != nullptr) {
-        // Throughput path. Every solver level minimizes a fixed
-        // objective (the bounds each level derives only feed *later*
-        // levels), and the model changes between solves only through
-        // blocking clauses, which remove known assignments. So instead
-        // of re-running the DPLL enumeration once per level and once
-        // per candidate (~numPus + numCandidates + 2 full sweeps),
-        // enumerate the feasible space exactly once, memoize every
-        // prediction, and replay the level logic over the harvested
-        // arrays. Each selection below mirrors Solver::minimize -
-        // strict less-than, first solution in DPLL enumeration order
-        // wins ties - so the candidate list is bit-identical to the
-        // multi-pass from-scratch path.
-        std::vector<int> flat; // num_sols * n stage-to-PU assignments
-        std::vector<Prediction> preds;
-        {
-            std::vector<int> assign_scratch(static_cast<std::size_t>(n));
-            solver::Solver s(model);
-            s.forEachSolution([&](const solver::Assignment& a) {
-                for (int i = 0; i < n; ++i) {
-                    int chosen = -1;
-                    for (int c = 0; c < m; ++c) {
-                        if (a.value(grid.at(i, c))) {
-                            chosen = c;
-                            break; // C1 guarantees exactly one
-                        }
+    // Every level minimizes a fixed objective (the bounds each level
+    // derives only feed *later* levels), and between levels the model
+    // would change only through blocking clauses, which remove known
+    // assignments. So one DPLL sweep enumerates the feasible space,
+    // every prediction is scored once, and the level logic replays
+    // over the harvested arrays. Each selection below is a
+    // Solver::minimize over those arrays - strict less-than, first
+    // solution in DPLL enumeration order wins ties. The selection code
+    // is independent of selectDiverse, so tests cross-check the two.
+    std::vector<int> flat; // num_sols * n stage-to-PU assignments
+    std::vector<Prediction> preds;
+    {
+        std::vector<int> assign_scratch(static_cast<std::size_t>(n));
+        solver::Solver s(model);
+        s.forEachSolution([&](const solver::Assignment& a) {
+            for (int i = 0; i < n; ++i) {
+                int chosen = -1;
+                for (int c = 0; c < m; ++c) {
+                    if (a.value(grid.at(i, c))) {
+                        chosen = c;
+                        break; // C1 guarantees exactly one
                     }
-                    BT_ASSERT(chosen >= 0, "stage ", i, " unassigned");
-                    assign_scratch[static_cast<std::size_t>(i)] = chosen;
                 }
-                // C6's fallback encoding over-admits; apply the exact
-                // integer predicate here so every downstream level
-                // replays over the feasible space only.
-                if (!demandOk(assign_scratch))
-                    return true;
-                flat.insert(flat.end(), assign_scratch.begin(),
-                            assign_scratch.end());
-                preds.push_back(eval_->predict(
-                    std::span<const int>(assign_scratch), bucket_));
+                BT_ASSERT(chosen >= 0, "stage ", i, " unassigned");
+                assign_scratch[static_cast<std::size_t>(i)] = chosen;
+            }
+            // C6's fallback encoding over-admits; apply the exact
+            // integer predicate here so every downstream level
+            // replays over the feasible space only.
+            if (!demandOk(assign_scratch))
                 return true;
-            });
-            stats_.solverNodes += s.nodesExplored();
-        }
-        const std::size_t num_sols = preds.size();
-        BT_ASSERT(num_sols > 0, "schedule space is empty");
-        auto assignOf = [&](std::size_t i) {
-            return std::span<const int>(
-                flat.data() + i * static_cast<std::size_t>(n),
-                static_cast<std::size_t>(n));
-        };
-
-        // Level 1a: unrestricted latency optimum (defines the Tmax
-        // bound).
-        double unrestricted
-            = std::numeric_limits<double>::infinity();
-        for (const Prediction& p : preds)
-            unrestricted = std::min(unrestricted, p.latency);
-        stats_.unrestrictedLatency = unrestricted;
-
-        if (config.utilizationFilter) {
-            stats_.latencyBound = stats_.unrestrictedLatency
-                    * (1.0 + config.latencySlack)
-                + 1e-12;
-
-            // Level 1b: the highest PU-class count attainable within
-            // the latency bound (maximize utilization subject to C3).
-            stats_.requiredPus = 1;
-            for (int r = std::min(m, n); r >= 1; --r) {
-                double best_score
-                    = std::numeric_limits<double>::infinity();
-                std::size_t best_i = 0;
-                for (std::size_t i = 0; i < num_sols; ++i) {
-                    const Prediction& p = preds[i];
-                    const double sc = p.numChunks < r
-                        ? kFeasibilityPenalty + p.latency
-                        : p.latency;
-                    if (sc < best_score) {
-                        best_score = sc;
-                        best_i = i;
-                    }
-                }
-                const Prediction& best = preds[best_i];
-                if (best.numChunks >= r
-                    && best.latency <= stats_.latencyBound) {
-                    stats_.requiredPus = r;
-                    break;
-                }
-            }
-
-            // Level 1c: minimal gapness within the feasibility class
-            // (objective O1 under C3).
-            double best_score
-                = std::numeric_limits<double>::infinity();
-            std::size_t best_i = 0;
-            for (std::size_t i = 0; i < num_sols; ++i) {
-                const Prediction& p = preds[i];
-                const double sc = (p.numChunks < stats_.requiredPus
-                                   || p.latency > stats_.latencyBound)
-                    ? kFeasibilityPenalty + p.gapness
-                    : p.gapness;
-                if (sc < best_score) {
-                    best_score = sc;
-                    best_i = i;
-                }
-            }
-            stats_.minimalGapness = preds[best_i].gapness;
-            stats_.gapnessBound = stats_.minimalGapness
-                    * (1.0 + config.gapnessSlack)
-                + 1e-9;
-        }
-
-        // Level 2: K diverse candidates. Picking a winner "blocks" its
-        // exact assignment (C5); saturating a performance tier blocks
-        // every assignment that maps the tier's stage range onto its
-        // PU - precisely the solutions blockChunk's clause would
-        // remove from the model.
-        std::vector<Candidate> cands;
-        std::vector<char> taken(num_sols, 0);
-        std::vector<ChunkKey> blocked_chunks;
-        std::map<ChunkKey, int> tier_count;
-        auto inBlockedChunk = [&](std::size_t i) {
-            const auto a = assignOf(i);
-            for (const auto& [first, last, pu] : blocked_chunks) {
-                bool covered = true;
-                for (int s = first; s <= last && covered; ++s)
-                    covered = (a[static_cast<std::size_t>(s)] == pu);
-                if (covered)
-                    return true;
-            }
-            return false;
-        };
-        for (int k = 0; k < config.numCandidates; ++k) {
-            double best_score
-                = std::numeric_limits<double>::infinity();
-            std::size_t best_i = num_sols;
-            for (std::size_t i = 0; i < num_sols; ++i) {
-                if (taken[i] != 0 || inBlockedChunk(i))
-                    continue;
-                const Prediction& p = preds[i];
-                const int cls
-                    = rankClassOf(p.latency, p.gapness, p.numChunks);
-                const double score
-                    = rankScoreOf(p.latency, p.energyJ);
-                const double sc = cls == 2
-                    ? kFeasibilityPenalty + score
-                    : cls == 1 ? kGapnessPenalty + score : score;
-                if (sc < best_score) {
-                    best_score = sc;
-                    best_i = i;
-                }
-            }
-            if (best_i == num_sols)
-                break; // space exhausted
-            taken[best_i] = 1;
-            const auto a = assignOf(best_i);
-            const Schedule sched = Schedule::fromAssignment(
-                std::vector<int>(a.begin(), a.end()));
-            cands.push_back(makeCandidate(sched));
-
-            if (config.maxPerTier > 0) {
-                const ChunkKey tier = bottleneckKey(sched, table);
-                if (++tier_count[tier] >= config.maxPerTier)
-                    blocked_chunks.push_back(tier);
-            }
-        }
-        return cands;
+            flat.insert(flat.end(), assign_scratch.begin(),
+                        assign_scratch.end());
+            preds.push_back(eval_->predict(
+                std::span<const int>(assign_scratch), bucket_));
+            return true;
+        });
+        stats_.solverNodes += s.nodesExplored();
     }
-
-    // From-scratch path. The C6 fallback encoding can leave violating
-    // assignments in the model; every callback pushes them past all
-    // feasible scores (kC6Penalty), so a violating winner proves the
-    // feasible space is exhausted - mirroring the harvest filter above.
-    auto latencyOf = [&](const solver::Assignment& a) {
-        const Schedule sched = scheduleFromAssignment(grid, a);
-        if (!demandOk(sched))
-            return kC6Penalty + sched.bottleneckTime(table);
-        return sched.bottleneckTime(table);
+    const std::size_t num_sols = preds.size();
+    BT_ASSERT(num_sols > 0, "schedule space is empty");
+    auto assignOf = [&](std::size_t i) {
+        return std::span<const int>(
+            flat.data() + i * static_cast<std::size_t>(n),
+            static_cast<std::size_t>(n));
     };
 
-    // Level 1a: unrestricted latency optimum (defines the Tmax bound).
-    {
-        solver::Solver s(model);
-        auto best = s.minimize(latencyOf);
-        stats_.solverNodes += s.nodesExplored();
-        BT_ASSERT(best.has_value(), "schedule space is empty");
-        stats_.unrestrictedLatency = latencyOf(*best);
-    }
+    // Level 1a: unrestricted latency optimum (defines the Tmax
+    // bound).
+    double unrestricted
+        = std::numeric_limits<double>::infinity();
+    for (const Prediction& p : preds)
+        unrestricted = std::min(unrestricted, p.latency);
+    stats_.unrestrictedLatency = unrestricted;
 
     if (config.utilizationFilter) {
         stats_.latencyBound = stats_.unrestrictedLatency
                 * (1.0 + config.latencySlack)
             + 1e-12;
 
-        // Level 1b: the highest PU-class count attainable within the
-        // latency bound (maximize utilization subject to C3).
+        // Level 1b: the highest PU-class count attainable within
+        // the latency bound (maximize utilization subject to C3).
         stats_.requiredPus = 1;
         for (int r = std::min(m, n); r >= 1; --r) {
-            solver::Solver s(model);
-            auto best = s.minimize([&](const solver::Assignment& a) {
-                const Schedule sched = scheduleFromAssignment(grid, a);
-                if (!demandOk(sched))
-                    return kC6Penalty + sched.bottleneckTime(table);
-                if (sched.numChunks() < r)
-                    return kFeasibilityPenalty
-                        + sched.bottleneckTime(table);
-                return sched.bottleneckTime(table);
-            });
-            stats_.solverNodes += s.nodesExplored();
-            if (best.has_value()) {
-                const Schedule sched
-                    = scheduleFromAssignment(grid, *best);
-                if (sched.numChunks() >= r
-                    && sched.bottleneckTime(table)
-                        <= stats_.latencyBound
-                    && demandOk(sched)) {
-                    stats_.requiredPus = r;
-                    break;
+            double best_score
+                = std::numeric_limits<double>::infinity();
+            std::size_t best_i = 0;
+            for (std::size_t i = 0; i < num_sols; ++i) {
+                const Prediction& p = preds[i];
+                const double sc = p.numChunks < r
+                    ? kFeasibilityPenalty + p.latency
+                    : p.latency;
+                if (sc < best_score) {
+                    best_score = sc;
+                    best_i = i;
                 }
+            }
+            const Prediction& best = preds[best_i];
+            if (best.numChunks >= r
+                && best.latency <= stats_.latencyBound) {
+                stats_.requiredPus = r;
+                break;
             }
         }
 
         // Level 1c: minimal gapness within the feasibility class
         // (objective O1 under C3).
-        solver::Solver s(model);
-        auto best = s.minimize([&](const solver::Assignment& a) {
-            const Schedule sched = scheduleFromAssignment(grid, a);
-            if (!demandOk(sched))
-                return kC6Penalty + sched.gapness(table);
-            if (sched.numChunks() < stats_.requiredPus
-                || sched.bottleneckTime(table) > stats_.latencyBound)
-                return kFeasibilityPenalty + sched.gapness(table);
-            return sched.gapness(table);
-        });
-        stats_.solverNodes += s.nodesExplored();
-        BT_ASSERT(best.has_value());
-        stats_.minimalGapness
-            = scheduleFromAssignment(grid, *best).gapness(table);
+        double best_score
+            = std::numeric_limits<double>::infinity();
+        std::size_t best_i = 0;
+        for (std::size_t i = 0; i < num_sols; ++i) {
+            const Prediction& p = preds[i];
+            const double sc = (p.numChunks < stats_.requiredPus
+                               || p.latency > stats_.latencyBound)
+                ? kFeasibilityPenalty + p.gapness
+                : p.gapness;
+            if (sc < best_score) {
+                best_score = sc;
+                best_i = i;
+            }
+        }
+        stats_.minimalGapness = preds[best_i].gapness;
         stats_.gapnessBound = stats_.minimalGapness
                 * (1.0 + config.gapnessSlack)
             + 1e-9;
     }
 
-    // Level 2: K diverse candidates; each found schedule is blocked
-    // (C5) and the solve repeated. The penalty terms mirror the final
-    // ranking so in-class schedules surface first; once a performance
-    // tier (critical chunk assignment) is saturated, the whole tier is
-    // blocked so the list spans tiers.
+    // Level 2: K diverse candidates. Picking a winner "blocks" its
+    // exact assignment (C5); saturating a performance tier blocks
+    // every assignment that maps the tier's stage range onto its
+    // PU - the solutions the clause AND(not x(i, pu)) over that range
+    // would remove from the model.
     std::vector<Candidate> cands;
+    std::vector<char> taken(num_sols, 0);
+    std::vector<ChunkKey> blocked_chunks;
     std::map<ChunkKey, int> tier_count;
+    auto inBlockedChunk = [&](std::size_t i) {
+        const auto a = assignOf(i);
+        for (const auto& [first, last, pu] : blocked_chunks) {
+            bool covered = true;
+            for (int s = first; s <= last && covered; ++s)
+                covered = (a[static_cast<std::size_t>(s)] == pu);
+            if (covered)
+                return true;
+        }
+        return false;
+    };
     for (int k = 0; k < config.numCandidates; ++k) {
-        solver::Solver s(model);
-        auto next = s.minimize([&](const solver::Assignment& a) {
-            const Candidate c
-                = makeCandidate(scheduleFromAssignment(grid, a));
-            const int cls = rankClass(c);
-            const double score = rankScore(c);
-            if (!demandOk(c.schedule))
-                return kC6Penalty + score;
-            switch (cls) {
-              case 2:
-                return kFeasibilityPenalty + score;
-              case 1:
-                return kGapnessPenalty + score;
-              default:
-                return score;
+        // Minimize (class, score) lexicographically. Folding the class
+        // into the score as a penalty offset would round off the low
+        // bits of small scores (energy-delay products are ~1e-5 next
+        // to a 1e6 offset) and turn distinct scores into ties.
+        int best_cls = 3;
+        double best_score
+            = std::numeric_limits<double>::infinity();
+        std::size_t best_i = num_sols;
+        for (std::size_t i = 0; i < num_sols; ++i) {
+            if (taken[i] != 0 || inBlockedChunk(i))
+                continue;
+            const Prediction& p = preds[i];
+            const int cls
+                = rankClassOf(p.latency, p.gapness, p.numChunks);
+            const double score
+                = rankScoreOf(p.latency, p.energyJ);
+            if (cls < best_cls
+                || (cls == best_cls && score < best_score)) {
+                best_cls = cls;
+                best_score = score;
+                best_i = i;
             }
-        });
-        stats_.solverNodes += s.nodesExplored();
-        if (!next.has_value())
+        }
+        if (best_i == num_sols)
             break; // space exhausted
-        const Schedule sched = scheduleFromAssignment(grid, *next);
-        if (!demandOk(sched))
-            break; // only C6-violating assignments remain
-        cands.push_back(makeCandidate(sched));
-        blockSchedule(model, grid, sched);
+        taken[best_i] = 1;
+        const auto a = assignOf(best_i);
+        const Schedule sched = Schedule::fromAssignment(
+            std::vector<int>(a.begin(), a.end()));
+        cands.push_back(makeCandidate(sched, preds[best_i]));
 
         if (config.maxPerTier > 0) {
             const ChunkKey tier = bottleneckKey(sched, table);
             if (++tier_count[tier] >= config.maxPerTier)
-                blockChunk(model, grid, tier);
+                blocked_chunks.push_back(tier);
         }
     }
     return cands;
@@ -960,23 +723,17 @@ std::vector<Candidate>
 Optimizer::optimizeExhaustive()
 {
     const int n = table.numStages();
-    const int m = soc.numPus();
-    const auto all = enumerateSchedules(n, m);
-
-    SchedulePool admissible(n, m);
+    // Only the allowed classes are enumerated (the lease / degradation
+    // re-plan hook), so the cost follows stats_.spaceSize.
+    SchedulePool admissible(n, soc.numPus());
     std::vector<int> assign(static_cast<std::size_t>(n));
-    for (const auto& s : all) {
-        bool admitted = true;
-        for (const auto& chunk : s.chunks()) {
-            admitted = admitted && puAllowed(chunk.pu);
+    for (const auto& s : enumerateSchedulesOver(n, allowedPus())) {
+        for (const auto& chunk : s.chunks())
             for (int i = chunk.firstStage; i <= chunk.lastStage; ++i)
                 assign[static_cast<std::size_t>(i)] = chunk.pu;
-        }
-        if (!admitted)
-            continue; // excluded class (degradation re-plan hook)
-        if (!demandOk(std::span<const int>(assign)))
+        if (!demandOk(assign))
             continue; // over the C6 aggregate-demand budget
-        admissible.add(assign, predict(s));
+        admissible.add(assign, eval_->predict(assign, bucket_));
     }
     BT_ASSERT(!admissible.empty(), "allowedPus admits no schedule");
     return selectDiverse(admissible);
@@ -1047,7 +804,7 @@ Optimizer::selectDiverse(const SchedulePool& pool)
     std::map<ChunkKey, int> tier_count;
     // A blocked (range, pu) bans every schedule assigning that whole
     // stage range to that PU - even inside a larger chunk - exactly
-    // like the solver's blocking clause.
+    // like the solver path's tier ban.
     std::vector<ChunkKey> blocked;
     std::vector<int> assign(static_cast<std::size_t>(pool.numStages()));
     for (const RankRecord& r : recs) {
@@ -1079,11 +836,7 @@ Optimizer::selectDiverse(const SchedulePool& pool)
 std::vector<Candidate>
 Optimizer::optimizeAnnealed()
 {
-    BT_ASSERT(eval_ != nullptr); // the constructor forces one
-    std::vector<int> allowed;
-    for (int c = 0; c < soc.numPus(); ++c)
-        if (puAllowed(c))
-            allowed.push_back(c);
+    std::vector<int> allowed = allowedPus();
     const int m_eff = static_cast<int>(allowed.size());
 
     Annealer annealer(soc, *eval_, config.anneal, bucket_,

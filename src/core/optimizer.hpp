@@ -16,12 +16,13 @@
  *  3. *Autotuning* is a separate component (autotuner.hpp) because it
  *     needs an executor.
  *
- * Three engines. The constraint solver (the Z3 stand-in) and
- * brute-force enumeration are *exact* and produce identical results;
- * tests cross-validate them. The annealed engine (anneal.hpp) is a
- * seeded local search over the same evaluator for instances whose
- * schedule space exceeds PlannerSpec::exactSpaceLimit - it is
- * deterministic per seed but not exactness-preserving, which the
+ * Three engines. Exhaustive enumeration of the allowed PU classes is
+ * the default exact engine. The constraint solver (the Z3 stand-in of
+ * Sec. 3.3) is exact too and bit-identical to it; tests use it as the
+ * independent check of the C1-C6 encoding. The annealed engine
+ * (anneal.hpp) is a seeded local search over the same evaluator for
+ * instances whose schedule space exceeds PlannerSpec::exactSpaceLimit -
+ * it is deterministic per seed but not exactness-preserving, which the
  * planner fingerprint reflects.
  */
 
@@ -43,18 +44,17 @@
 namespace bt::core {
 
 /**
- * Planning engine. Solver and Exhaustive are exact and bit-identical
- * to each other; Annealed is a seeded local search (deterministic per
- * PlannerSpec::anneal, but it only guarantees feasibility, not
- * optimality). Exact engines refuse instances whose schedule space
- * exceeds PlannerSpec::exactSpaceLimit.
+ * Planning engine. Exhaustive (the default) and Solver are exact and
+ * bit-identical to each other; Annealed is a seeded local search
+ * (deterministic per PlannerSpec::anneal, but it only guarantees
+ * feasibility, not optimality). Exact engines refuse instances whose
+ * schedule space exceeds PlannerSpec::exactSpaceLimit.
  */
 enum class PlannerEngine
 {
     Solver,
     Exhaustive,
     Annealed,
-    ConstraintSolver = Solver, ///< deprecated spelling (pre-PlannerSpec)
 };
 
 /** "solver" / "exhaustive" / "annealed". */
@@ -65,9 +65,7 @@ PlannerEngine plannerEngineFromName(const std::string& name);
 
 /**
  * The planner specification: every knob of a planning run, passed to
- * Optimizer as one struct. This replaces the old (config, shared_eval,
- * contention) constructor parameter list; `OptimizerConfig` remains as
- * an alias for one release.
+ * Optimizer as one struct.
  */
 struct PlannerSpec
 {
@@ -97,8 +95,7 @@ struct PlannerSpec
      */
     int maxPerTier = 3;
 
-    using Engine = PlannerEngine; ///< deprecated spelling
-    PlannerEngine engine = PlannerEngine::Solver;
+    PlannerEngine engine = PlannerEngine::Exhaustive;
 
     /** Knobs of the annealed engine (ignored by the exact ones). */
     AnnealSpec anneal;
@@ -112,18 +109,6 @@ struct PlannerSpec
      * automatically for large tenants). 0 disables the check.
      */
     std::uint64_t exactSpaceLimit = 200'000;
-
-    /**
-     * Memoized schedule evaluation (the throughput-oriented planning
-     * path): predicted costs are decomposed into per-chunk
-     * contributions cached across the enumeration order, and whole
-     * predictions are served from a keyed cache shared by every solver
-     * objective callback. Bit-identical to the from-scratch path (the
-     * tests cross-validate over entire schedule spaces); disable only
-     * to measure the baseline. The annealed engine always evaluates
-     * through a memoized evaluator regardless of this knob.
-     */
-    bool memoize = true;
 
     /**
      * Restrict the schedule space to these PU classes (empty = all).
@@ -187,9 +172,8 @@ struct PlannerSpec
      * Optional externally-owned evaluator built over the *same* table;
      * lets short-lived optimizers (fault-time replans, autotuner
      * campaigns) reuse a warm prediction cache. Null: the optimizer
-     * owns a private one when memoize is set (or the engine is
-     * Annealed). Not part of the fingerprint - sharing never changes
-     * results, only cache temperature.
+     * owns a private one. Not part of the fingerprint - sharing never
+     * changes results, only cache temperature.
      */
     ScheduleEvaluator* sharedEvaluator = nullptr;
 
@@ -214,9 +198,9 @@ struct PlannerSpec
      * schedule the optimizer returns - the planner component of a
      * schedule-cache key (bt::service keys its cache by application,
      * platform, ambient-load bucket, PU lease, and this fingerprint).
-     * The exact engines (and the memoize flag) are deliberately
-     * folded together: they are bit-identical by contract, so
-     * flipping between them must keep hitting the same cache entries.
+     * The exact engines are deliberately folded together: they are
+     * bit-identical by contract, so flipping between them must keep
+     * hitting the same cache entries.
      * The annealed engine is NOT exactness-preserving, so its identity
      * and every annealing knob (seed, budget, restarts, temperatures)
      * are mixed in - a cache can never serve an annealed plan where an
@@ -226,9 +210,6 @@ struct PlannerSpec
      */
     std::uint64_t fingerprint() const;
 };
-
-/** Pre-PlannerSpec name, kept as an alias for one release. */
-using OptimizerConfig = PlannerSpec;
 
 /** One optimizer output with its model-predicted costs. */
 struct Candidate
@@ -252,7 +233,7 @@ struct Candidate
 /** Summary of one optimization run. */
 struct OptimizeStats
 {
-    PlannerEngine engine = PlannerEngine::Solver; ///< engine that ran
+    PlannerEngine engine = PlannerEngine::Exhaustive; ///< engine that ran
     /** Closed-form schedule-space size over the allowed PUs
      *  (saturating; what the exact-engine refusal checks). */
     std::uint64_t spaceSize = 0;
@@ -262,7 +243,7 @@ struct OptimizeStats
     int requiredPus = 1;              ///< utilization level achieved
     double minimalGapness = 0.0;      ///< level-1 optimum g*
     double gapnessBound = 0.0;        ///< bound applied in level 2
-    std::uint64_t solverNodes = 0;    ///< search nodes across all calls
+    std::uint64_t solverNodes = 0;    ///< DPLL nodes (Solver only)
     int candidatesWithinBound = 0;
 
     /** C6 aggregate-demand budget applied (GB/s; 0 when C6 is off). */
@@ -272,8 +253,7 @@ struct OptimizeStats
     bool c6Relaxed = false;
 
     /** Prediction-cache counters (since evaluator construction; a
-     *  shared evaluator accumulates across replans). Zero when
-     *  memoization is off. */
+     *  shared evaluator accumulates across replans). */
     std::uint64_t evalHits = 0;
     std::uint64_t evalMisses = 0;
 
@@ -294,16 +274,6 @@ class Optimizer
   public:
     Optimizer(const platform::SocDescription& soc,
               const ProfilingTable& table, PlannerSpec spec = {});
-
-    /** Pre-PlannerSpec shim: fold @p shared_eval / @p contention into
-     *  the spec instead (PlannerSpec::sharedEvaluator /
-     *  PlannerSpec::contentionProfile). */
-    [[deprecated("pass sharedEvaluator/contentionProfile inside "
-                 "PlannerSpec")]]
-    Optimizer(const platform::SocDescription& soc,
-              const ProfilingTable& table, PlannerSpec spec,
-              ScheduleEvaluator* shared_eval,
-              const platform::ContentionProfile* contention = nullptr);
 
     /**
      * Run levels 1 and 2.
@@ -337,15 +307,13 @@ class Optimizer
     /** Level-1 bounds (unrestricted latency, latency bound, required
      *  PUs, gapness bound) over @p preds into stats_. */
     void deriveLevelOneBounds(const std::vector<Prediction>& preds);
-    /** Predicted costs of @p s: the evaluator's, or from scratch. */
-    Prediction predict(const Schedule& s) const;
     static Candidate makeCandidate(Schedule s, const Prediction& p);
-    Candidate makeCandidate(const Schedule& s) const;
     /** Whether spec allowedPus admits @p pu (empty list = all). */
     bool puAllowed(int pu) const;
+    /** The PU classes spec allowedPus admits, ascending. */
+    std::vector<int> allowedPus() const;
     /** C6 predicate: aggregate demand within budget (true if C6 off). */
     bool demandOk(std::span<const int> stage_to_pu) const;
-    bool demandOk(const Schedule& s) const;
     /** 0 = fully feasible, 1 = over gapness budget, 2 = out of class. */
     int rankClass(const Candidate& c) const;
     int rankClassOf(double latency, double gapness,
@@ -371,7 +339,7 @@ class Optimizer
     bool c6Relaxed_ = false;
     OptimizeStats stats_;
     std::unique_ptr<ScheduleEvaluator> ownedEval_;
-    ScheduleEvaluator* eval_ = nullptr; ///< null = from-scratch path
+    ScheduleEvaluator* eval_ = nullptr; ///< shared or ownedEval_
 };
 
 } // namespace bt::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <sstream>
 
@@ -154,12 +155,13 @@ namespace {
 
 /**
  * Recursive generator: split the remaining stages [start, n) into chunks
- * and assign each a PU not used so far.
+ * and assign each a PU class index not used so far; the chunk records
+ * pus[index].
  */
 void
-enumerateRec(int start, int n, int num_pus, std::uint32_t used_mask,
-             std::vector<Chunk>& acc, std::vector<Schedule>* out,
-             std::uint64_t* count)
+enumerateRec(int start, int n, std::span<const int> pus,
+             std::uint32_t used_mask, std::vector<Chunk>& acc,
+             std::vector<Schedule>* out, std::uint64_t* count)
 {
     if (start == n) {
         if (out)
@@ -168,38 +170,57 @@ enumerateRec(int start, int n, int num_pus, std::uint32_t used_mask,
             ++*count;
         return;
     }
+    const int num_pus = static_cast<int>(pus.size());
     for (int end = start; end < n; ++end) {
-        for (int pu = 0; pu < num_pus; ++pu) {
-            if (used_mask & (1u << pu))
+        for (int k = 0; k < num_pus; ++k) {
+            if (used_mask & (1u << k))
                 continue;
-            acc.push_back(Chunk{start, end, pu});
-            enumerateRec(end + 1, n, num_pus, used_mask | (1u << pu),
-                         acc, out, count);
+            acc.push_back(
+                Chunk{start, end, pus[static_cast<std::size_t>(k)]});
+            enumerateRec(end + 1, n, pus, used_mask | (1u << k), acc,
+                         out, count);
             acc.pop_back();
         }
     }
 }
 
+std::vector<int>
+firstPus(int num_pus)
+{
+    std::vector<int> pus(static_cast<std::size_t>(num_pus));
+    std::iota(pus.begin(), pus.end(), 0);
+    return pus;
+}
+
 } // namespace
+
+std::vector<Schedule>
+enumerateSchedulesOver(int num_stages, std::span<const int> pus)
+{
+    BT_ASSERT(num_stages > 0 && !pus.empty());
+    BT_ASSERT(pus.size() <= 32, "PU mask limited to 32 classes");
+    std::vector<Schedule> out;
+    std::vector<Chunk> acc;
+    enumerateRec(0, num_stages, pus, 0u, acc, &out, nullptr);
+    return out;
+}
 
 std::vector<Schedule>
 enumerateSchedules(int num_stages, int num_pus)
 {
-    BT_ASSERT(num_stages > 0 && num_pus > 0);
-    BT_ASSERT(num_pus <= 32, "PU mask limited to 32 classes");
-    std::vector<Schedule> out;
-    std::vector<Chunk> acc;
-    enumerateRec(0, num_stages, num_pus, 0u, acc, &out, nullptr);
-    return out;
+    BT_ASSERT(num_pus > 0);
+    return enumerateSchedulesOver(num_stages, firstPus(num_pus));
 }
 
 std::uint64_t
 countSchedules(int num_stages, int num_pus)
 {
     BT_ASSERT(num_stages > 0 && num_pus > 0);
+    BT_ASSERT(num_pus <= 32, "PU mask limited to 32 classes");
     std::uint64_t count = 0;
     std::vector<Chunk> acc;
-    enumerateRec(0, num_stages, num_pus, 0u, acc, nullptr, &count);
+    enumerateRec(0, num_stages, firstPus(num_pus), 0u, acc, nullptr,
+                 &count);
     return count;
 }
 

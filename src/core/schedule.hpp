@@ -7,13 +7,14 @@
  * partition of the stage sequence into chunks, each chunk assigned to a
  * distinct PU class. This module provides the data type, predicted-cost
  * queries against a profiling table, and exhaustive enumeration of the
- * whole schedule space (used both as a baseline optimizer and to
- * cross-validate the constraint solver).
+ * schedule space (the default exact planner engine, which tests
+ * cross-validate against the constraint solver).
  */
 
 #ifndef BT_CORE_SCHEDULE_HPP
 #define BT_CORE_SCHEDULE_HPP
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -92,6 +93,16 @@ class Schedule
  * schedules.
  */
 std::vector<Schedule> enumerateSchedules(int num_stages, int num_pus);
+
+/**
+ * enumerateSchedules over the PU classes @p pus instead of 0..m-1: the
+ * same enumeration of pus.size() classes, with class index k mapped
+ * onto pus[k]. The exhaustive planner engine and the annealer's full
+ * sweep enumerate a PU lease this way, so their cost follows the
+ * allowed space, not the device's.
+ */
+std::vector<Schedule> enumerateSchedulesOver(int num_stages,
+                                             std::span<const int> pus);
 
 /** Count of schedules enumerateSchedules would return. */
 std::uint64_t countSchedules(int num_stages, int num_pus);

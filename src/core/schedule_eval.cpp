@@ -165,7 +165,7 @@ ScheduleEvaluator::predict(std::span<const int> stage_to_pu, int bucket)
         scratch_ = evaluate(stage_to_pu, bucket);
         return scratch_;
     }
-    // The packed key uses all 64 bits, so each bucket memoizes into
+    // The packed key uses all 64 bits, so each bucket caches into
     // its own pool (bucket 0 keeps the original hot path).
     SchedulePool& memo = bucket == 0
         ? memo_

@@ -1,12 +1,12 @@
 /**
  * @file
- * Memoized schedule evaluation for the throughput-oriented planning
- * path (BT-Optimizer hot loop).
+ * Cached schedule evaluation: the BT-Optimizer hot loop of every
+ * planner engine.
  *
- * Producing a deployed schedule means scoring tens of thousands of
- * (stage -> PU) assignments: every solver minimize() call walks the
- * whole propagation-pruned space, the exhaustive engine re-scores each
- * enumerated schedule, and fault-time replans repeat both. All of those
+ * Producing a deployed schedule means scoring thousands of
+ * (stage -> PU) assignments: the exhaustive engine scores each
+ * enumerated schedule, the solver each DPLL solution, the annealer each
+ * new proposal, and fault-time replans repeat the work. All of those
  * scores decompose into per-chunk contributions - the predicted time of
  * running stages [first, last] back-to-back on one PU - and the chunk
  * space is tiny (O(stages^2 x PUs)) while the schedule space is
@@ -16,9 +16,9 @@
  *     stage at a time - the same left-fold ProfilingTable::rangeTime
  *     computes, so every entry is bit-identical to the from-scratch sum;
  *  2. a *keyed prediction cache*: full Prediction records (latency,
- *     gapness, energy, chunk count) memoized in a SchedulePool by
- *     packed assignment key (packAssignment), shared across solver
- *     objective callbacks, exhaustive enumeration, the annealed
+ *     gapness, energy, chunk count) cached in a SchedulePool by
+ *     packed assignment key (packAssignment), shared across the
+ *     solver harvest, exhaustive enumeration, the annealed
  *     engine's pool misses (anneal.hpp keeps its own pool, so a
  *     revisited schedule never reaches this memo), and
  *     graceful-degradation replans against the same table.
@@ -33,14 +33,14 @@
  * uncontended baseline and shares the bit-exactness contract below.
  *
  * Bit-exactness contract: every number an evaluator returns is the
- * exact double the unmemoized path (Schedule::bottleneckTime /
- * Schedule::gapness / Optimizer's from-scratch energy model) would
- * produce. Latency and gapness are max/min folds over cached chunk
- * times; the energy model replicates the from-scratch loop
- * operation-for-operation over the same cached values. Tests
+ * exact double a from-scratch computation (Schedule::bottleneckTime,
+ * Schedule::gapness, and the per-chunk energy loop over
+ * Schedule::chunkTime) would produce. Latency and gapness are max/min
+ * folds over cached chunk times; the energy model runs the from-scratch
+ * loop operation for operation over the same cached values. Tests
  * cross-validate this over entire schedule spaces.
  *
- * Thread compatibility: the evaluator memoizes internally and is NOT
+ * Thread compatibility: the evaluator caches internally and is NOT
  * safe for concurrent use. The planning path is single-threaded (only
  * candidate *executions* fan out, see autotuner.hpp); fault-time
  * replans serialize through their backend's recovery lock.

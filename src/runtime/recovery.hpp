@@ -49,21 +49,12 @@ core::ProfilingTable modelTable(const platform::PerfModel& model,
                                 const core::Application& app);
 
 /**
- * Graceful degradation: run the Optimizer over @p app restricted to
- * the surviving PUs and return its best schedule. Panics if no PU
- * survives.
- */
-core::Schedule replanOnSurvivors(const platform::PerfModel& model,
-                                 const core::Application& app,
-                                 const std::vector<bool>& alive);
-
-/**
- * Replan cache for graceful degradation (the re-plan hot path): one
- * lazily-built model table and one warm ScheduleEvaluator shared across
- * every replan of a run, so a second dropout pays neither the table
- * rebuild nor re-prediction of schedules the first replan already
- * scored. replan() returns exactly the schedule replanOnSurvivors would
- * (same table contents, same optimizer configuration).
+ * Graceful degradation: replan @p app on the surviving PUs with the
+ * exhaustive engine over modelTable(). One lazily-built model table
+ * and one warm ScheduleEvaluator are shared across every replan of a
+ * run, so a second dropout pays neither the table rebuild nor
+ * re-prediction of schedules the first replan already scored; the
+ * result is the same schedule a fresh Optimizer would return.
  *
  * Not thread-safe: callers serialize replans (the host backend replans
  * under its fault-state mutex; the virtual backend is single-threaded).

@@ -73,9 +73,7 @@ TEST(PlannerEngineNames, RoundTrip)
               PlannerEngine::Exhaustive);
     EXPECT_EQ(plannerEngineFromName("annealed"),
               PlannerEngine::Annealed);
-    // The deprecated spelling still parses.
-    EXPECT_EQ(plannerEngineFromName("constraint_solver"),
-              PlannerEngine::Solver);
+    EXPECT_EQ(PlannerSpec{}.engine, PlannerEngine::Exhaustive);
 }
 
 // ---------------------------------------------------------------------
@@ -311,18 +309,15 @@ TEST(AnnealedDeterminism, AutotunerReportInvariantAcrossThreadCounts)
 // ---------------------------------------------------------------------
 // Fingerprint coverage.
 
-TEST(PlannerFingerprint, ExactEnginesAndMemoizationFoldTogether)
+TEST(PlannerFingerprint, ExactEnginesFoldTogether)
 {
-    PlannerSpec solver;
-    PlannerSpec exhaustive = solver;
-    exhaustive.engine = PlannerEngine::Exhaustive;
-    PlannerSpec unmemoized = solver;
-    unmemoized.memoize = false;
+    PlannerSpec exhaustive;
+    PlannerSpec solver = exhaustive;
+    solver.engine = PlannerEngine::Solver;
 
     // Exact engines are bit-identical by contract, so flipping between
-    // them (or toggling memoization) must keep the same cache entries.
+    // them must keep the same cache entries.
     EXPECT_EQ(solver.fingerprint(), exhaustive.fingerprint());
-    EXPECT_EQ(solver.fingerprint(), unmemoized.fingerprint());
 }
 
 TEST(PlannerFingerprint, AnnealedEngineAndKnobsAreCovered)
@@ -801,7 +796,7 @@ TEST(ServiceAnnealedFallback, LargeTenantAnnealsInsteadOfFailing)
     const auto plan = service.freshPlan("AlexNet-Sparse", 0, 0, 1);
     EXPECT_TRUE(plan.schedule.valid(9, soc.numPus()));
     const auto report = service.report();
-    EXPECT_EQ(report.plannerEngine, "solver"); // the configured engine
+    EXPECT_EQ(report.plannerEngine, "exhaustive"); // the configured one
     EXPECT_GE(report.annealedFallbacks, 1);
 
     // Disabling the refusal threshold keeps the exact engine, so the
@@ -826,7 +821,7 @@ TEST(ServiceAnnealedFallback, SmallTenantKeepsTheExactEngine)
     const auto plan = service.freshPlan("AlexNet-Sparse", 0, 0, 1);
     EXPECT_TRUE(plan.schedule.valid(9, soc.numPus()));
     const auto report = service.report();
-    EXPECT_EQ(report.plannerEngine, "solver");
+    EXPECT_EQ(report.plannerEngine, "exhaustive");
     EXPECT_EQ(report.annealedFallbacks, 0);
 }
 

@@ -5,7 +5,7 @@
  * demand math, PerfModel's delegation and overload forwarding
  * (bit-exactness), bucketed ScheduleEvaluator predictions, the
  * optimizer's C6 aggregate-bandwidth constraint family (solver =
- * exhaustive = memoized, budget respected, infeasible budgets relaxed,
+ * exhaustive bit for bit, budget respected, infeasible budgets relaxed,
  * single-tenant byte-identity), the service's contention-aware
  * two-tenant planning on the bandwidth-starved contention rig, and
  * agreement between the planner's stretched predictions and both time
@@ -347,36 +347,41 @@ TEST_F(ContentionRig, EvaluatorBucketsMatchAManuallyStretchedTable)
 // ---------------------------------------------------------------------
 // Optimizer: the C6 aggregate-bandwidth constraint family.
 
-TEST_F(ContentionRig, C6EnginesAndMemoizationAgree)
+TEST_F(ContentionRig, C6EnginesAgree)
 {
+    // The solver encodes C6 as pseudo-boolean constraints; the
+    // exhaustive engine filters on the exact demand predicate. Both
+    // must return the same plan, bit for bit.
     PlannerSpec cfg;
     cfg.contention.budgetGbps = 5.0;
     cfg.contention.ambientGbps = 5.0;
     cfg.contentionProfile = &result.contention;
-
-    PlannerSpec brute = cfg;
-    brute.engine = PlannerEngine::Exhaustive;
-    PlannerSpec unmemoized = cfg;
-    unmemoized.memoize = false;
+    PlannerSpec solver = cfg;
+    solver.engine = PlannerEngine::Solver;
 
     Optimizer a(soc, result.interference, cfg);
-    Optimizer b(soc, result.interference, brute);
-    Optimizer c(soc, result.interference, unmemoized);
+    Optimizer b(soc, result.interference, solver);
     const auto ca = a.optimize();
     const auto cb = b.optimize();
-    const auto cc = c.optimize();
 
     ASSERT_FALSE(ca.empty());
+    EXPECT_GT(a.stats().demandBudgetGbps, 0.0);
     ASSERT_EQ(ca.size(), cb.size());
-    ASSERT_EQ(ca.size(), cc.size());
     for (std::size_t i = 0; i < ca.size(); ++i) {
         EXPECT_EQ(ca[i].schedule, cb[i].schedule) << "rank " << i;
-        EXPECT_EQ(ca[i].schedule, cc[i].schedule) << "rank " << i;
-        EXPECT_DOUBLE_EQ(ca[i].predictedLatency, cb[i].predictedLatency);
-        EXPECT_DOUBLE_EQ(ca[i].predictedLatency, cc[i].predictedLatency);
-        EXPECT_DOUBLE_EQ(ca[i].predictedDemandGbps,
-                         cb[i].predictedDemandGbps);
+        EXPECT_EQ(ca[i].predictedLatency, cb[i].predictedLatency);
+        EXPECT_EQ(ca[i].predictedGapness, cb[i].predictedGapness);
+        EXPECT_EQ(ca[i].predictedEnergyJ, cb[i].predictedEnergyJ);
+        EXPECT_EQ(ca[i].predictedDemandGbps, cb[i].predictedDemandGbps);
     }
+    EXPECT_EQ(a.stats().unrestrictedLatency,
+              b.stats().unrestrictedLatency);
+    EXPECT_EQ(a.stats().latencyBound, b.stats().latencyBound);
+    EXPECT_EQ(a.stats().requiredPus, b.stats().requiredPus);
+    EXPECT_EQ(a.stats().minimalGapness, b.stats().minimalGapness);
+    EXPECT_EQ(a.stats().gapnessBound, b.stats().gapnessBound);
+    EXPECT_EQ(a.stats().candidatesWithinBound,
+              b.stats().candidatesWithinBound);
 }
 
 TEST_F(ContentionRig, C6CandidatesRespectTheBudget)
@@ -739,18 +744,23 @@ TEST(HostBackendContention, AmbientStretchTracksTheModel)
     // Wall-clock timing is noisy (ctest runs suites in parallel), so
     // take the best of three runs per configuration - load spikes only
     // ever inflate a run - and assert direction and rough magnitude of
-    // the injected slowdown rather than a tight equality.
+    // the injected slowdown rather than a tight equality. Loud and
+    // quiet runs interleave, alternating which goes first, so a burst
+    // of outside load lands on both sides alike instead of on one
+    // block of runs.
     const runtime::HostTimeBackend backend(soc);
-    const auto bestOf = [&](const runtime::RunConfig& cfg) {
-        double best = std::numeric_limits<double>::infinity();
-        for (int rep = 0; rep < 3; ++rep) {
-            const auto run = backend.run(app, schedule, cfg);
+    double best_loud = std::numeric_limits<double>::infinity();
+    double best_quiet = best_loud;
+    for (int rep = 0; rep < 3; ++rep) {
+        for (const bool is_loud : {rep % 2 == 0, rep % 2 != 0}) {
+            const auto run
+                = backend.run(app, schedule, is_loud ? loud : quiet);
             EXPECT_TRUE(run.validationErrors.empty());
+            double& best = is_loud ? best_loud : best_quiet;
             best = std::min(best, run.makespanSeconds);
         }
-        return best;
-    };
-    const double ratio = bestOf(loud) / bestOf(quiet);
+    }
+    const double ratio = best_loud / best_quiet;
     EXPECT_GT(ratio, 1.0 + 0.3 * (expected - 1.0));
     EXPECT_LT(ratio, 1.0 + 4.0 * (expected - 1.0));
 }

@@ -1,17 +1,19 @@
 /**
  * @file
  * Tests for BT-Profiler and BT-Optimizer: profiling-table structure and
- * interference signatures, solver-vs-exhaustive cross-validation
- * (identical candidate rankings), gapness filtering, blocking-clause
- * diversity, and the latency-only comparison configurations of
- * Fig. 5b/5c.
+ * interference signatures, solver-vs-exhaustive cross-validation (bit
+ * for bit, on every PU lease of the paper's app/rig pairs), golden
+ * exact plans, gapness filtering, blocking-clause diversity, and the
+ * latency-only comparison configurations of Fig. 5b/5c.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "apps/alexnet.hpp"
@@ -243,8 +245,11 @@ TEST_F(ProfiledPixel, PipelineSchedulesBeatHomogeneousPrediction)
 
 TEST_F(ProfiledPixel, SolverStatsPopulated)
 {
-    Optimizer opt(soc, result.interference);
+    PlannerSpec cfg;
+    cfg.engine = PlannerEngine::Solver;
+    Optimizer opt(soc, result.interference, cfg);
     opt.optimize();
+    EXPECT_EQ(opt.stats().engine, PlannerEngine::Solver);
     EXPECT_GT(opt.stats().solverNodes, 0u);
 }
 
@@ -367,6 +372,25 @@ TEST_F(ProfiledPixel, EvaluatorBitIdenticalOverAllSchedules)
         EXPECT_EQ(p.latency, s.bottleneckTime(table));
         EXPECT_EQ(p.gapness, s.gapness(table));
         EXPECT_EQ(p.numChunks, s.numChunks());
+
+        // Per-task energy from scratch: each used PU is active for its
+        // chunk time and idle for the rest of the bottleneck interval,
+        // unused PUs idle throughout, plus the uncore floor.
+        const double interval = s.bottleneckTime(table);
+        double energy = soc.basePowerW * interval;
+        std::vector<bool> used(static_cast<std::size_t>(soc.numPus()));
+        for (int ch = 0; ch < s.numChunks(); ++ch) {
+            const int pu = s.chunks()[static_cast<std::size_t>(ch)].pu;
+            used[static_cast<std::size_t>(pu)] = true;
+            const double active = s.chunkTime(table, ch);
+            energy += active * model->activePowerW(pu, s.numChunks() - 1)
+                + std::max(0.0, interval - active)
+                    * soc.pu(pu).idlePowerW;
+        }
+        for (int pu = 0; pu < soc.numPus(); ++pu)
+            if (!used[static_cast<std::size_t>(pu)])
+                energy += interval * soc.pu(pu).idlePowerW;
+        EXPECT_EQ(p.energyJ, energy) << s.compactString();
     }
     // Every schedule again: all hits this time.
     const auto misses = eval.stats().misses;
@@ -376,72 +400,72 @@ TEST_F(ProfiledPixel, EvaluatorBitIdenticalOverAllSchedules)
     EXPECT_GE(eval.stats().hits, all.size());
 }
 
-/** Memoized and from-scratch planning must agree bit-for-bit: same
- *  candidates, same predicted numbers, same stats. */
+/** Both exact engines, bit for bit: same candidates, same predicted
+ *  numbers, same level-1 stats. */
 void
 expectSamePlan(const platform::SocDescription& soc,
                const ProfilingTable& table, PlannerSpec cfg)
 {
-    cfg.memoize = true;
-    Optimizer memo(soc, table, cfg);
-    cfg.memoize = false;
-    Optimizer scratch(soc, table, cfg);
+    cfg.engine = PlannerEngine::Exhaustive;
+    Optimizer exhaustive(soc, table, cfg);
+    cfg.engine = PlannerEngine::Solver;
+    Optimizer solver(soc, table, cfg);
 
-    const auto a = memo.optimize();
-    const auto b = scratch.optimize();
+    const auto a = exhaustive.optimize();
+    const auto b = solver.optimize();
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].schedule.toAssignment(),
-                  b[i].schedule.toAssignment());
+                  b[i].schedule.toAssignment())
+            << "rank " << i;
         EXPECT_EQ(a[i].predictedLatency, b[i].predictedLatency);
         EXPECT_EQ(a[i].predictedGapness, b[i].predictedGapness);
         EXPECT_EQ(a[i].predictedEnergyJ, b[i].predictedEnergyJ);
+        EXPECT_EQ(a[i].predictedDemandGbps, b[i].predictedDemandGbps);
     }
-    EXPECT_EQ(memo.stats().unrestrictedLatency,
-              scratch.stats().unrestrictedLatency);
-    EXPECT_EQ(memo.stats().latencyBound, scratch.stats().latencyBound);
-    EXPECT_EQ(memo.stats().requiredPus, scratch.stats().requiredPus);
-    EXPECT_EQ(memo.stats().minimalGapness,
-              scratch.stats().minimalGapness);
-    EXPECT_EQ(memo.stats().gapnessBound, scratch.stats().gapnessBound);
-    // The memoized solver path harvests the space in a single DPLL
-    // sweep and replays the level logic over the harvested array, so
-    // it can only explore fewer nodes than the multi-pass path.
-    EXPECT_LE(memo.stats().solverNodes, scratch.stats().solverNodes);
-    EXPECT_EQ(memo.stats().candidatesWithinBound,
-              scratch.stats().candidatesWithinBound);
-    // The memoized run went through the evaluator (each enumerated
-    // schedule predicted once - a miss; candidate construction then
-    // re-reads the winners - hits).
-    EXPECT_GT(memo.stats().evalHits + memo.stats().evalMisses, 0u);
-    EXPECT_EQ(scratch.stats().evalHits + scratch.stats().evalMisses,
-              0u);
+    const OptimizeStats& x = exhaustive.stats();
+    const OptimizeStats& y = solver.stats();
+    EXPECT_EQ(x.spaceSize, y.spaceSize);
+    EXPECT_EQ(x.unrestrictedLatency, y.unrestrictedLatency);
+    EXPECT_EQ(x.latencyBound, y.latencyBound);
+    EXPECT_EQ(x.requiredPus, y.requiredPus);
+    EXPECT_EQ(x.minimalGapness, y.minimalGapness);
+    EXPECT_EQ(x.gapnessBound, y.gapnessBound);
+    EXPECT_EQ(x.candidatesWithinBound, y.candidatesWithinBound);
+    EXPECT_EQ(x.demandBudgetGbps, y.demandBudgetGbps);
+    EXPECT_EQ(x.c6Relaxed, y.c6Relaxed);
 }
+
+// Every plan goes through the caching evaluator; these compare the
+// exhaustive engine against the solver, which reaches the same plan
+// through the DPLL encoding of C1-C6.
 
 TEST_F(ProfiledPixel, MemoizedExhaustivePlanBitIdentical)
 {
-    PlannerSpec cfg;
-    cfg.engine = PlannerEngine::Exhaustive;
-    expectSamePlan(soc, result.interference, cfg);
+    expectSamePlan(soc, result.interference, PlannerSpec{});
 }
 
 TEST_F(ProfiledPixel, MemoizedSolverPlanBitIdentical)
 {
+    // Both engines score each schedule of the space exactly once; only
+    // the solver walks DPLL nodes.
     PlannerSpec cfg;
     cfg.engine = PlannerEngine::Solver;
-    expectSamePlan(soc, result.interference, cfg);
-
-    // The solver's minimize calls revisit assignments, so the keyed
-    // cache must be doing real work on this path.
-    Optimizer memo(soc, result.interference, cfg);
-    memo.optimize();
-    EXPECT_GT(memo.stats().evalHits, 0u);
+    Optimizer solver(soc, result.interference, cfg);
+    solver.optimize();
+    Optimizer exhaustive(soc, result.interference);
+    exhaustive.optimize();
+    for (const Optimizer* opt : {&solver, &exhaustive}) {
+        EXPECT_EQ(opt->stats().evalMisses, opt->stats().spaceSize);
+        EXPECT_EQ(opt->stats().evalHits, 0u);
+    }
+    EXPECT_GT(solver.stats().solverNodes, 0u);
+    EXPECT_EQ(exhaustive.stats().solverNodes, 0u);
 }
 
 TEST_F(ProfiledPixel, MemoizedEnergyDelayPlanBitIdentical)
 {
     PlannerSpec cfg;
-    cfg.engine = PlannerEngine::Exhaustive;
     cfg.objective = PlannerSpec::Objective::EnergyDelay;
     expectSamePlan(soc, result.interference, cfg);
 }
@@ -451,10 +475,257 @@ TEST_F(ProfiledPixel, MemoizedReplanShapeBitIdentical)
     // The graceful-degradation configuration: one candidate on a
     // restricted PU set.
     PlannerSpec cfg;
-    cfg.engine = PlannerEngine::Exhaustive;
     cfg.numCandidates = 1;
     cfg.allowedPus = {0, 1, 2};
     expectSamePlan(soc, result.interference, cfg);
+}
+
+TEST(ExactEngines, AgreeOnEveryLeaseOfThePaperPairs)
+{
+    // All 12 app/rig pairs of the paper, every non-empty PU lease, both
+    // ranking objectives.
+    const std::vector<platform::SocDescription> socs
+        = {platform::pixel7a(), platform::oneplus11(),
+           platform::jetsonOrinNano(), platform::jetsonOrinNanoLp()};
+    const std::vector<Application> apps
+        = {apps::alexnetDense(), apps::alexnetSparse(), apps::octreeApp()};
+    for (const auto& soc : socs) {
+        const platform::PerfModel model(soc);
+        for (const auto& app : apps) {
+            const auto table = Profiler(model).profile(app).interference;
+            for (int mask = 1; mask < (1 << soc.numPus()); ++mask) {
+                PlannerSpec cfg;
+                for (int p = 0; p < soc.numPus(); ++p)
+                    if ((mask & (1 << p)) != 0)
+                        cfg.allowedPus.push_back(p);
+                for (const auto objective :
+                     {PlannerSpec::Objective::Latency,
+                      PlannerSpec::Objective::EnergyDelay}) {
+                    SCOPED_TRACE(soc.name + " / " + app.name()
+                                 + " / lease mask "
+                                 + std::to_string(mask));
+                    cfg.objective = objective;
+                    expectSamePlan(soc, table, cfg);
+                }
+            }
+        }
+    }
+}
+
+TEST(ExactEngines, ExhaustiveEnumeratesOnlyAllowedPus)
+{
+    // A three-class lease of the eight-class manycore rig: 219
+    // schedules, against 3,154,824 over the whole device.
+    const auto soc = platform::manycoreRig();
+    const platform::PerfModel model(soc);
+    const auto table
+        = Profiler(model).profile(apps::alexnetSparse()).interference;
+    PlannerSpec cfg;
+    cfg.allowedPus = {0, 1, 2};
+    expectSamePlan(soc, table, cfg);
+
+    Optimizer opt(soc, table, cfg);
+    const auto cands = opt.optimize();
+    ASSERT_EQ(scheduleSpaceSize(9, 3), 219u);
+    EXPECT_EQ(opt.stats().spaceSize, 219u);
+    EXPECT_EQ(opt.stats().evalMisses, 219u);
+    EXPECT_EQ(opt.stats().evalHits, 0u);
+    for (const auto& c : cands)
+        for (const auto& chunk : c.schedule.chunks())
+            EXPECT_LE(chunk.pu, 2);
+}
+
+// ---------------------------------------------------------------------
+// Golden exact plans of AlexNet-sparse on the Pixel, recorded before
+// the multi-pass solver path was removed and pinned bit for bit for
+// both exact engines.
+
+/** One pinned candidate: compact schedule and hex-float costs. */
+struct GoldenCandidate
+{
+    const char* schedule;
+    double latency;
+    double gapness;
+    double energyJ;
+};
+
+struct GoldenPlan
+{
+    double unrestrictedLatency;
+    double latencyBound;
+    int requiredPus;
+    double minimalGapness;
+    double gapnessBound;
+    int candidatesWithinBound;
+    std::vector<GoldenCandidate> candidates;
+};
+
+/** @p cands and the level-1 stats in GoldenPlan initializer syntax:
+ *  printed on a mismatch, so an intended change can be re-recorded. */
+std::string
+goldenLiteral(const OptimizeStats& st, const std::vector<Candidate>& cands)
+{
+    char buf[160];
+    std::snprintf(buf, sizeof buf, "{%a, %a, %d,\n %a, %a, %d,\n {\n",
+                  st.unrestrictedLatency, st.latencyBound, st.requiredPus,
+                  st.minimalGapness, st.gapnessBound,
+                  st.candidatesWithinBound);
+    std::string out = buf;
+    for (const auto& c : cands) {
+        std::snprintf(buf, sizeof buf, "  {\"%s\", %a, %a,\n   %a},\n",
+                      c.schedule.compactString().c_str(),
+                      c.predictedLatency, c.predictedGapness,
+                      c.predictedEnergyJ);
+        out += buf;
+    }
+    return out + " }}";
+}
+
+void
+expectGoldenPlan(const platform::SocDescription& soc,
+                 const ProfilingTable& table, PlannerSpec cfg,
+                 const GoldenPlan& golden)
+{
+    for (const auto engine :
+         {PlannerEngine::Exhaustive, PlannerEngine::Solver}) {
+        SCOPED_TRACE(plannerEngineName(engine));
+        cfg.engine = engine;
+        Optimizer opt(soc, table, cfg);
+        const auto cands = opt.optimize();
+        const OptimizeStats& st = opt.stats();
+        EXPECT_EQ(st.unrestrictedLatency, golden.unrestrictedLatency);
+        EXPECT_EQ(st.latencyBound, golden.latencyBound);
+        EXPECT_EQ(st.requiredPus, golden.requiredPus);
+        EXPECT_EQ(st.minimalGapness, golden.minimalGapness);
+        EXPECT_EQ(st.gapnessBound, golden.gapnessBound);
+        EXPECT_EQ(st.candidatesWithinBound, golden.candidatesWithinBound);
+        EXPECT_EQ(cands.size(), golden.candidates.size());
+        for (std::size_t i = 0;
+             i < std::min(cands.size(), golden.candidates.size()); ++i) {
+            const GoldenCandidate& g = golden.candidates[i];
+            EXPECT_EQ(cands[i].schedule.compactString(), g.schedule)
+                << "rank " << i;
+            EXPECT_EQ(cands[i].predictedLatency, g.latency) << "rank " << i;
+            EXPECT_EQ(cands[i].predictedGapness, g.gapness) << "rank " << i;
+            EXPECT_EQ(cands[i].predictedEnergyJ, g.energyJ) << "rank " << i;
+        }
+        if (::testing::Test::HasFailure())
+            ADD_FAILURE() << "actual plan:\n" << goldenLiteral(st, cands);
+    }
+}
+
+TEST_F(ProfiledPixel, GoldenExactPlanLatency)
+{
+    expectGoldenPlan(soc, result.interference, PlannerSpec{},
+        {0x1.ddbcc5a83f45dp-9, 0x1.5a5c0f4e4759p-8, 4,
+         0x1.3e3ab627623fcp-10, 0x1.3e3abebe6833dp-9, 6,
+         {
+          {"012333333", 0x1.ddbcc5a83f45dp-9, 0x1.1c7615a43677bp-9,
+           0x1.57dc7928ef1fep-5},
+          {"112033333", 0x1.ddbcc5a83f45dp-9, 0x1.56999cff6972ep-10,
+           0x1.398164380d681p-5},
+          {"033321111", 0x1.e09008ff2d147p-9, 0x1.deee8dc6da092p-10,
+           0x1.48c7d333107a2p-5},
+          {"333021111", 0x1.e09008ff2d147p-9, 0x1.3e3ab627623fcp-10,
+           0x1.5b8a413728beep-5},
+          {"033322111", 0x1.05bf270bad4b8p-8, 0x1.1a658bfb9a872p-9,
+           0x1.4db27931cb91cp-5},
+          {"333022111", 0x1.05bf270bad4b8p-8, 0x1.f5728d8d044c6p-10,
+           0x1.6074e735e3d68p-5},
+          {"112333300", 0x1.ddbcc5a83f45dp-9, 0x1.4fc3f3b03cf81p-9,
+           0x1.4af5350564ff3p-5},
+          {"333320111", 0x1.ee97503b29407p-9, 0x1.664831bb4acdcp-9,
+           0x1.7d1e177ab1fe1p-5},
+          {"333321100", 0x1.ee97503b29407p-9, 0x1.609e7e4326f2bp-9,
+           0x1.7dcf2b5f8ff23p-5},
+          {"333321110", 0x1.ee97503b29407p-9, 0x1.82a8ee8f6a688p-9,
+           0x1.7dd32bdbce45bp-5},
+          {"013332222", 0x1.000273e1d8e05p-8, 0x1.3ebe37bfa8f28p-9,
+           0x1.71c73522603dbp-5},
+          {"023331111", 0x1.000273e1d8e05p-8, 0x1.5330314144d72p-9,
+           0x1.751db5d8867f6p-5},
+          {"113330222", 0x1.000273e1d8e05p-8, 0x1.77b5c943d34dfp-9,
+           0x1.73277508e51e9p-5},
+          {"033221111", 0x1.30bfdc3de7a7dp-8, 0x1.7066f6600f3fcp-9,
+           0x1.378a49e87203fp-5},
+          {"333220111", 0x1.30bfdc3de7a7dp-8, 0x1.d93099fbf0dcfp-9,
+           0x1.6a62fb6b4d89ap-5},
+          {"333221100", 0x1.30bfdc3de7a7dp-8, 0x1.d386e683cd01ep-9,
+           0x1.6b140f502b7ddp-5},
+          {"033322211", 0x1.55d9e923bc7adp-8, 0x1.41ea4559a9237p-8,
+           0x1.5cc56f3b00ef3p-5},
+          {"113322200", 0x1.55d9e923bc7adp-8, 0x1.0edd8027bb53fp-8,
+           0x1.36420e3221dcap-5},
+          {"133322200", 0x1.55d9e923bc7adp-8, 0x1.1d4545917b9bbp-8,
+           0x1.5f31b1adc06c6p-5},
+          {"033312222", 0x1.5cf935eebd47ap-8, 0x1.d1048094b2dd8p-9,
+           0x1.63f19f09cf726p-5},
+         }});
+}
+
+TEST_F(ProfiledPixel, GoldenExactPlanEnergyDelay)
+{
+    PlannerSpec cfg;
+    cfg.objective = PlannerSpec::Objective::EnergyDelay;
+    expectGoldenPlan(soc, result.interference, cfg,
+        {0x1.ddbcc5a83f45dp-9, 0x1.5a5c0f4e4759p-8, 4,
+         0x1.3e3ab627623fcp-10, 0x1.3e3abebe6833dp-9, 6,
+         {
+          {"112033333", 0x1.ddbcc5a83f45dp-9, 0x1.56999cff6972ep-10,
+           0x1.398164380d681p-5},
+          {"033321111", 0x1.e09008ff2d147p-9, 0x1.deee8dc6da092p-10,
+           0x1.48c7d333107a2p-5},
+          {"012333333", 0x1.ddbcc5a83f45dp-9, 0x1.1c7615a43677bp-9,
+           0x1.57dc7928ef1fep-5},
+          {"333021111", 0x1.e09008ff2d147p-9, 0x1.3e3ab627623fcp-10,
+           0x1.5b8a413728beep-5},
+          {"033322111", 0x1.05bf270bad4b8p-8, 0x1.1a658bfb9a872p-9,
+           0x1.4db27931cb91cp-5},
+          {"333022111", 0x1.05bf270bad4b8p-8, 0x1.f5728d8d044c6p-10,
+           0x1.6074e735e3d68p-5},
+          {"112333300", 0x1.ddbcc5a83f45dp-9, 0x1.4fc3f3b03cf81p-9,
+           0x1.4af5350564ff3p-5},
+          {"333320111", 0x1.ee97503b29407p-9, 0x1.664831bb4acdcp-9,
+           0x1.7d1e177ab1fe1p-5},
+          {"333321100", 0x1.ee97503b29407p-9, 0x1.609e7e4326f2bp-9,
+           0x1.7dcf2b5f8ff23p-5},
+          {"333321110", 0x1.ee97503b29407p-9, 0x1.82a8ee8f6a688p-9,
+           0x1.7dd32bdbce45bp-5},
+          {"013332222", 0x1.000273e1d8e05p-8, 0x1.3ebe37bfa8f28p-9,
+           0x1.71c73522603dbp-5},
+          {"033221111", 0x1.30bfdc3de7a7dp-8, 0x1.7066f6600f3fcp-9,
+           0x1.378a49e87203fp-5},
+          {"113330222", 0x1.000273e1d8e05p-8, 0x1.77b5c943d34dfp-9,
+           0x1.73277508e51e9p-5},
+          {"113332200", 0x1.000273e1d8e05p-8, 0x1.720c15cbaf72ep-9,
+           0x1.74580c3f0f9ddp-5},
+          {"033222111", 0x1.4636fec9fe692p-8, 0x1.9b553b783cc26p-9,
+           0x1.3c74efe72d1bap-5},
+          {"113322200", 0x1.55d9e923bc7adp-8, 0x1.0edd8027bb53fp-8,
+           0x1.36420e3221dcap-5},
+          {"333220111", 0x1.30bfdc3de7a7dp-8, 0x1.d93099fbf0dcfp-9,
+           0x1.6a62fb6b4d89ap-5},
+          {"333221100", 0x1.30bfdc3de7a7dp-8, 0x1.d386e683cd01ep-9,
+           0x1.6b140f502b7ddp-5},
+          {"033322211", 0x1.55d9e923bc7adp-8, 0x1.41ea4559a9237p-8,
+           0x1.5cc56f3b00ef3p-5},
+          {"133322200", 0x1.55d9e923bc7adp-8, 0x1.1d4545917b9bbp-8,
+           0x1.5f31b1adc06c6p-5},
+         }});
+}
+
+TEST_F(ProfiledPixel, GoldenExactPlanReplanShape)
+{
+    PlannerSpec cfg;
+    cfg.numCandidates = 1;
+    cfg.allowedPus = {0, 1, 2};
+    expectGoldenPlan(soc, result.interference, cfg,
+        {0x1.a536d1e24b80ap-8, 0x1.3161582b037a1p-7, 3,
+         0x1.07b7f6655de64p-10, 0x1.07b7fefc63da5p-9, 1,
+         {
+          {"001222222", 0x1.a536d1e24b80ap-8, 0x1.1dfa9343705dp-10,
+           0x1.b829a24149ad5p-6},
+         }});
 }
 
 TEST_F(ProfiledPixel, SharedEvaluatorServesSecondOptimizerFromCache)
@@ -462,7 +733,6 @@ TEST_F(ProfiledPixel, SharedEvaluatorServesSecondOptimizerFromCache)
     const auto& table = result.interference;
     ScheduleEvaluator eval(soc, table, *model);
     PlannerSpec cfg;
-    cfg.engine = PlannerEngine::Exhaustive;
     cfg.numCandidates = 1;
     cfg.sharedEvaluator = &eval;
 
