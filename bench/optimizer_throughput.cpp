@@ -141,7 +141,9 @@ BENCHMARK(BM_ReplanAfterDropout_Throughput)
  * (they refuse the instance outright; exact_enumerable records the
  * refusal predicate) - under an active C6 budget, inside a fixed move
  * budget. There is no exact baseline at this scale, which is the
- * point of the tier.
+ * point of the tier. moves_proposed, distinct_schedules (pooled, each
+ * scored once), filtered (C6 rejections) and annealed_best_latency_ms
+ * are deterministic anchors of the walk.
  */
 void
 BM_LargeInstanceAnnealed(benchmark::State& state)
@@ -157,27 +159,30 @@ BM_LargeInstanceAnnealed(benchmark::State& state)
 
     double best_latency = 0.0;
     bool c6_feasible = false;
-    std::uint64_t space = 0;
-    std::int64_t proposed = 0;
+    core::OptimizeStats stats;
     for (auto _ : state) {
         core::Optimizer optimizer(soc, table, spec);
         const auto cands = optimizer.optimize();
         best_latency = cands.front().predictedLatency;
         c6_feasible = cands.front().predictedDemandGbps
             <= spec.contention.budgetGbps + 1e-9;
-        space = optimizer.stats().spaceSize;
-        proposed = optimizer.stats().annealProposed;
+        stats = optimizer.stats();
         benchmark::ClobberMemory();
     }
     state.counters["assignment_variables"] = static_cast<double>(
         table.numStages() * soc.numPus());
-    state.counters["schedule_space"] = static_cast<double>(space);
+    state.counters["schedule_space"]
+        = static_cast<double>(stats.spaceSize);
     state.counters["exact_enumerable"]
-        = space <= spec.exactSpaceLimit ? 1.0 : 0.0;
-    state.counters["moves_proposed"] = static_cast<double>(proposed);
+        = stats.spaceSize <= spec.exactSpaceLimit ? 1.0 : 0.0;
+    state.counters["moves_proposed"]
+        = static_cast<double>(stats.annealProposed);
+    state.counters["distinct_schedules"]
+        = static_cast<double>(stats.annealDistinct);
+    state.counters["filtered"] = static_cast<double>(stats.annealFiltered);
     state.counters["annealed_best_latency_ms"] = best_latency * 1e3;
     state.counters["c6_feasible"] = c6_feasible ? 1.0 : 0.0;
-    state.SetItemsProcessed(state.iterations() * proposed);
+    state.SetItemsProcessed(state.iterations() * stats.annealProposed);
 }
 BENCHMARK(BM_LargeInstanceAnnealed)->Unit(benchmark::kMillisecond);
 

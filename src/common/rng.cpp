@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "common/logging.hpp"
-
 namespace bt {
 
 std::uint64_t
@@ -19,36 +17,6 @@ std::uint64_t
 hashCombine(std::uint64_t a, std::uint64_t b)
 {
     return splitmix64(a ^ (splitmix64(b) + 0x9e3779b97f4a7c15ull));
-}
-
-std::uint64_t
-Rng::nextU64()
-{
-    state += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
-std::uint64_t
-Rng::nextBounded(std::uint64_t bound)
-{
-    BT_ASSERT(bound > 0);
-    // Rejection sampling to avoid modulo bias.
-    const std::uint64_t limit = UINT64_MAX - UINT64_MAX % bound;
-    std::uint64_t v;
-    do {
-        v = nextU64();
-    } while (v >= limit);
-    return v % bound;
-}
-
-double
-Rng::nextDouble()
-{
-    // 53 significant bits -> uniform double in [0, 1).
-    return static_cast<double>(nextU64() >> 11) * 0x1.0p-53;
 }
 
 double

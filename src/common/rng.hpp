@@ -13,6 +13,8 @@
 
 #include <cstdint>
 
+#include "common/logging.hpp"
+
 namespace bt {
 
 /**
@@ -33,14 +35,42 @@ class Rng
   public:
     explicit Rng(std::uint64_t seed) : state(splitmix64(seed ^ kGolden)) {}
 
+    // The three hot draws are defined inline: the annealer's move loop
+    // draws several per proposal, mostly with constant bounds that
+    // fold once the call is visible.
+
     /** Next raw 64-bit value. */
-    std::uint64_t nextU64();
+    std::uint64_t
+    nextU64()
+    {
+        state += kGolden;
+        std::uint64_t z = state;
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        return z ^ (z >> 31);
+    }
 
     /** Uniform in [0, bound). bound must be nonzero. */
-    std::uint64_t nextBounded(std::uint64_t bound);
+    std::uint64_t
+    nextBounded(std::uint64_t bound)
+    {
+        BT_ASSERT(bound > 0);
+        // Rejection sampling to avoid modulo bias.
+        const std::uint64_t limit = UINT64_MAX - UINT64_MAX % bound;
+        std::uint64_t v;
+        do {
+            v = nextU64();
+        } while (v >= limit);
+        return v % bound;
+    }
 
     /** Uniform real in [0, 1). */
-    double nextDouble();
+    double
+    nextDouble()
+    {
+        // 53 significant bits -> uniform double in [0, 1).
+        return static_cast<double>(nextU64() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform real in [lo, hi). */
     double nextRange(double lo, double hi);

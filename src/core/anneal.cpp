@@ -201,7 +201,8 @@ Annealer::evaluate(const std::vector<Chunk>& chunks)
         ++filtered_; // C6: the move is never even scored
         return nullptr;
     }
-    return &pool_.insert(probe, assign, eval_.predict(assign, bucket_));
+    // The pool is the only store: score without the evaluator memo.
+    return &pool_.insert(probe, assign, eval_.score(assign, bucket_));
 }
 
 void

@@ -20,9 +20,12 @@
  * open-addressing table. A revisited schedule - most proposals, once
  * the chains settle - is answered from its pool slot with one hash
  * probe; only a pool miss reaches the C6 filter and then
- * ScheduleEvaluator::predict. The move loop itself allocates nothing:
- * proposals, free-PU lists and random partitions live in reused
- * scratch. The Optimizer's harvest ranks plain-data records built from
+ * ScheduleEvaluator::score, which bypasses the evaluator's memo: the
+ * pool is the one place a schedule is hashed and stored, and each
+ * distinct feasible schedule is scored exactly once. The move loop
+ * itself allocates nothing: proposals, free-PU lists and random
+ * partitions live in reused scratch, and the Rng draws it makes are
+ * inline. The Optimizer's harvest ranks plain-data records built from
  * the pool's keys and predictions and builds a Candidate only for the
  * entries it picks.
  *

@@ -93,13 +93,6 @@ AutoTuner::tuneAnnealed(const Application& app,
               "campaign needs temperatures");
     spec.engine = PlannerEngine::Annealed;
 
-    // All variants walk the same space over the same table, so one
-    // warm evaluator serves every planning pass.
-    platform::PerfModel power(soc);
-    ScheduleEvaluator shared_eval(soc, table, power,
-                                  spec.contentionProfile);
-    spec.sharedEvaluator = &shared_eval;
-
     std::vector<Candidate> champions;
     for (const std::uint64_t seed : campaign.seeds) {
         for (const double t0 : campaign.initialTemperatures) {

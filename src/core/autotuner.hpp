@@ -82,9 +82,11 @@ class AutoTuner
 
     /**
      * Annealed planning campaign: plan @p app once per (seed, initial
-     * temperature) in @p campaign - forcing spec.engine to Annealed
-     * and sharing one warm evaluator across variants - then measure
-     * the deduplicated variant champions with tune(). The first
+     * temperature) in @p campaign, forcing spec.engine to Annealed,
+     * then measure the deduplicated variant champions with tune().
+     * Each variant's Optimizer builds its own evaluator: an annealed
+     * pass scores into its own pool and never reads the evaluator
+     * memo, so a shared one would save nothing. The first
      * variant's champion keeps rankPredicted 0, so autotuningGain()
      * reports the measured win over the single-walk plan. Deterministic
      * at any thread count (the campaign plans serially; only

@@ -10,9 +10,8 @@ ScheduleEvaluator::ScheduleEvaluator(
     const platform::SocDescription& soc, const ProfilingTable& table,
     const platform::PerfModel& power_model,
     const platform::ContentionProfile* contention)
-    : soc_(soc), table_(table), powerModel_(power_model),
-      contention_(contention), numStages_(table.numStages()),
-      numPus_(table.numPus()),
+    : soc_(soc), table_(table), contention_(contention),
+      numStages_(table.numStages()), numPus_(table.numPus()),
       memo_(numStages_, numPus_)
 {
     BT_ASSERT(table_.numPus() == soc_.numPus(),
@@ -39,6 +38,19 @@ ScheduleEvaluator::ScheduleEvaluator(
                 chunkTimes_[chunkIndex(first, last, p)] = acc;
             }
         }
+    }
+
+    // Power draws the energy model reads per chunk, looked up once:
+    // active power of each PU with 0..numPus-1 other PUs busy, and
+    // each PU's idle power.
+    activePowerW_.resize(static_cast<std::size_t>(numPus_)
+                         * static_cast<std::size_t>(numPus_));
+    idlePowerW_.resize(static_cast<std::size_t>(numPus_));
+    for (int p = 0; p < numPus_; ++p) {
+        for (int others = 0; others < numPus_; ++others)
+            activePowerW_[activeIndex(p, others)]
+                = power_model.activePowerW(p, others);
+        idlePowerW_[static_cast<std::size_t>(p)] = soc_.pu(p).idlePowerW;
     }
 
     assignScratch_.resize(static_cast<std::size_t>(numStages_));
@@ -77,8 +89,9 @@ ScheduleEvaluator::chunkTable(int bucket)
 }
 
 Prediction
-ScheduleEvaluator::evaluate(std::span<const int> stage_to_pu, int bucket)
+ScheduleEvaluator::score(std::span<const int> stage_to_pu, int bucket)
 {
+    ++stats_.misses;
     BT_ASSERT(static_cast<int>(stage_to_pu.size()) == numStages_,
               "assignment covers ", stage_to_pu.size(), " of ",
               numStages_, " stages");
@@ -145,14 +158,14 @@ ScheduleEvaluator::evaluate(std::span<const int> stage_to_pu, int bucket)
             continue;
         const int pu = stage_to_pu[static_cast<std::size_t>(first)];
         const double active = times[chunkIndex(first, s - 1, pu)];
-        energy += active * powerModel_.activePowerW(pu, busy_others)
+        energy += active * activePowerW_[activeIndex(pu, busy_others)]
             + std::max(0.0, interval - active)
-                * soc_.pu(pu).idlePowerW;
+                * idlePowerW_[static_cast<std::size_t>(pu)];
         first = s;
     }
     for (int p = 0; p < numPus_; ++p)
         if (!usedScratch_[static_cast<std::size_t>(p)])
-            energy += interval * soc_.pu(p).idlePowerW;
+            energy += interval * idlePowerW_[static_cast<std::size_t>(p)];
     pred.energyJ = energy;
     return pred;
 }
@@ -162,7 +175,7 @@ ScheduleEvaluator::predict(std::span<const int> stage_to_pu, int bucket)
 {
     if (!memo_.keyed()) {
         ++stats_.unkeyed;
-        scratch_ = evaluate(stage_to_pu, bucket);
+        scratch_ = score(stage_to_pu, bucket);
         return scratch_;
     }
     // The packed key uses all 64 bits, so each bucket caches into
@@ -176,8 +189,7 @@ ScheduleEvaluator::predict(std::span<const int> stage_to_pu, int bucket)
         ++stats_.hits;
         return memo.prediction(probe.entry);
     }
-    ++stats_.misses;
-    return memo.insert(probe, stage_to_pu, evaluate(stage_to_pu, bucket));
+    return memo.insert(probe, stage_to_pu, score(stage_to_pu, bucket));
 }
 
 const Prediction&

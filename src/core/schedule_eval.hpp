@@ -18,10 +18,16 @@
  *  2. a *keyed prediction cache*: full Prediction records (latency,
  *     gapness, energy, chunk count) cached in a SchedulePool by
  *     packed assignment key (packAssignment), shared across the
- *     solver harvest, exhaustive enumeration, the annealed
- *     engine's pool misses (anneal.hpp keeps its own pool, so a
- *     revisited schedule never reaches this memo), and
- *     graceful-degradation replans against the same table.
+ *     solver harvest, exhaustive enumeration and
+ *     graceful-degradation replans against the same table;
+ *  3. per-(PU, busy others) active power and per-PU idle power,
+ *     looked up once from the PerfModel, so the energy model reads
+ *     tables instead of re-deriving clock factors per chunk.
+ *
+ * predict() is a memo lookup followed by score(), the unmemoized
+ * scoring. The annealed engine deduplicates in its own pool
+ * (anneal.hpp) and calls score() on a pool miss, so each schedule it
+ * visits is hashed and stored once, never in this memo.
  *
  * Cross-tenant co-placement rides the same machinery: when constructed
  * with a ContentionProfile, predictions can be asked for under an
@@ -37,8 +43,10 @@
  * Schedule::gapness, and the per-chunk energy loop over
  * Schedule::chunkTime) would produce. Latency and gapness are max/min
  * folds over cached chunk times; the energy model runs the from-scratch
- * loop operation for operation over the same cached values. Tests
- * cross-validate this over entire schedule spaces.
+ * loop operation for operation over the same cached values, its power
+ * tables holding the very doubles PerfModel::activePowerW and
+ * PuModel::idlePowerW return. Tests cross-validate this over entire
+ * schedule spaces.
  *
  * Thread compatibility: the evaluator caches internally and is NOT
  * safe for concurrent use. The planning path is single-threaded (only
@@ -117,9 +125,13 @@ unpackAssignment(std::uint64_t key, std::span<int> out)
 /** Cache effectiveness counters (for stats and the bench harness). */
 struct EvalStats
 {
-    std::uint64_t hits = 0;        ///< predictions served from the memo
-    std::uint64_t misses = 0;      ///< predictions computed and stored
-    std::uint64_t unkeyed = 0;     ///< computed without memoization
+    std::uint64_t hits = 0;    ///< predictions served from the memo
+    /** Schedules scored (every score() call, including predict()'s
+     *  memo misses), memoized or not. */
+    std::uint64_t misses = 0;
+    /** predict() calls on instances too wide for the memo (each is
+     *  also a miss). */
+    std::uint64_t unkeyed = 0;
 };
 
 /**
@@ -247,6 +259,15 @@ class ScheduleEvaluator
     /** Convenience overload scoring a built Schedule. */
     const Prediction& predict(const Schedule& schedule, int bucket = 0);
 
+    /**
+     * Score @p stage_to_pu under @p bucket without consulting or
+     * filling the memo: the from-scratch-shaped evaluation over the
+     * cached chunk times that predict() runs on a memo miss. For
+     * callers that deduplicate schedules themselves (the annealer's
+     * pool), so a schedule is stored once. Counted in stats().misses.
+     */
+    Prediction score(std::span<const int> stage_to_pu, int bucket = 0);
+
     /** Memo effectiveness since construction. */
     const EvalStats& stats() const { return stats_; }
 
@@ -261,20 +282,27 @@ class ScheduleEvaluator
             + static_cast<std::size_t>(pu);
     }
 
-    /** From-scratch-shaped evaluation over the cached chunk times. */
-    Prediction evaluate(std::span<const int> stage_to_pu, int bucket);
+    std::size_t
+    activeIndex(int pu, int busy_others) const
+    {
+        return static_cast<std::size_t>(pu)
+            * static_cast<std::size_t>(numPus_)
+            + static_cast<std::size_t>(busy_others);
+    }
 
     /** Chunk-time table of @p bucket, building it on first use. */
     const std::vector<double>& chunkTable(int bucket);
 
     const platform::SocDescription& soc_;
     const ProfilingTable& table_;
-    const platform::PerfModel& powerModel_;
     const platform::ContentionProfile* contention_;
     int numStages_;
     int numPus_;
 
     std::vector<double> chunkTimes_; ///< [first][last][pu], left-fold
+    /** PerfModel::activePowerW(pu, busy_others), [pu][busy_others]. */
+    std::vector<double> activePowerW_;
+    std::vector<double> idlePowerW_; ///< PuModel::idlePowerW per PU
     SchedulePool memo_; ///< bucket 0; used only when memo_.keyed()
     /** Lazily built stretched chunk tables and memos, bucket > 0. */
     std::unordered_map<int, std::vector<double>> bucketChunkTimes_;

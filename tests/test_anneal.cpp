@@ -461,6 +461,43 @@ TEST_F(LargeInstance, AnnealedPlansFeasiblyUnderC6)
                   b[i].schedule.toAssignment());
 }
 
+/** The walk scores each distinct feasible schedule exactly once, into
+ *  its own pool: revisits are answered there, C6-filtered proposals
+ *  are never scored, and the fresh evaluator's memo is never read. */
+void
+expectEachDistinctScheduleScoredOnce(const Optimizer& opt)
+{
+    const OptimizeStats& st = opt.stats();
+    EXPECT_GT(st.annealDistinct, 0);
+    EXPECT_EQ(st.evalMisses, static_cast<std::uint64_t>(st.annealDistinct));
+    EXPECT_EQ(st.evalHits, 0u);
+}
+
+TEST_F(LargeInstance, ScoresEachDistinctScheduleOnce)
+{
+    PlannerSpec spec;
+    spec.engine = PlannerEngine::Annealed;
+    spec.contention.budgetGbps = soc.mem.dramBwGbps;
+    spec.contentionProfile = &contention;
+    Optimizer opt(soc, *table, spec);
+    (void)opt.optimize();
+    EXPECT_GT(opt.stats().annealFiltered, 0);
+    expectEachDistinctScheduleScoredOnce(opt);
+}
+
+TEST(AnnealedEvaluation, ManycoreScoresEachDistinctScheduleOnce)
+{
+    const auto soc = platform::manycoreRig();
+    const platform::PerfModel model(soc);
+    const auto profile = Profiler(model).profile(apps::alexnetDense());
+    PlannerSpec spec;
+    spec.engine = PlannerEngine::Annealed;
+    Optimizer opt(soc, profile.interference, spec);
+    (void)opt.optimize();
+    EXPECT_EQ(opt.stats().annealProposed, spec.anneal.moveBudget);
+    expectEachDistinctScheduleScoredOnce(opt);
+}
+
 // ---------------------------------------------------------------------
 // Ranking ties: equal class and score fall back to lexicographic
 // stage-to-PU order, in every engine.

@@ -751,6 +751,78 @@ TEST_F(ProfiledPixel, SharedEvaluatorServesSecondOptimizerFromCache)
     (void)plan_a;
 }
 
+/** score() equals predict() bit for bit on every schedule over @p pus,
+ *  uncontended and under one contended bucket, and never touches the
+ *  memo. */
+void
+expectScoreMatchesPredict(const platform::SocDescription& soc,
+                          const Application& app,
+                          const std::vector<int>& pus)
+{
+    const platform::PerfModel model(soc);
+    const ProfileResult profile = Profiler(model).profile(app);
+    const ProfilingTable& table = profile.interference;
+    ScheduleEvaluator memoized(soc, table, model, &profile.contention);
+    ScheduleEvaluator bare(soc, table, model, &profile.contention);
+    const auto all = enumerateSchedulesOver(app.numStages(), pus);
+    bool stretched = false; // bucket 3 really is contended
+    for (const int bucket : {0, 3}) {
+        for (const auto& s : all) {
+            const std::vector<int> assign = s.toAssignment();
+            const Prediction p = memoized.predict(assign, bucket);
+            const Prediction q = bare.score(assign, bucket);
+            if (bucket != 0)
+                stretched = stretched
+                    || q.latency > memoized.predict(assign, 0).latency;
+            EXPECT_EQ(q.latency, p.latency) << s.compactString();
+            EXPECT_EQ(q.gapness, p.gapness) << s.compactString();
+            EXPECT_EQ(q.energyJ, p.energyJ) << s.compactString();
+            EXPECT_EQ(q.numChunks, p.numChunks) << s.compactString();
+            EXPECT_EQ(q.demandMilli, p.demandMilli) << s.compactString();
+            EXPECT_EQ(q.demandGbps, p.demandGbps) << s.compactString();
+        }
+    }
+    EXPECT_TRUE(stretched);
+    // Every score() counts as a scored schedule; none was memoized.
+    EXPECT_EQ(bare.stats().misses, 2 * all.size());
+    EXPECT_EQ(bare.stats().hits, 0u);
+    EXPECT_EQ(memoized.stats().misses, bare.stats().misses);
+}
+
+TEST(EvaluatorScore, MatchesPredictOnPixelAlexNetSparse)
+{
+    const auto soc = platform::pixel7a();
+    std::vector<int> pus;
+    for (int p = 0; p < soc.numPus(); ++p)
+        pus.push_back(p);
+    expectScoreMatchesPredict(soc, apps::alexnetSparse(), pus);
+}
+
+TEST(EvaluatorScore, MatchesPredictOnManycoreLease)
+{
+    expectScoreMatchesPredict(platform::manycoreRig(),
+                              apps::alexnetSparse(), {0, 1, 2});
+}
+
+TEST_F(ProfiledPixel, ScoreLeavesTheMemoUntouched)
+{
+    ScheduleEvaluator eval(soc, result.interference, *model);
+    const std::vector<int> assign{0, 0, 1, 1, 2, 2, 3, 3, 3};
+    ASSERT_EQ(assign.size(), static_cast<std::size_t>(app->numStages()));
+    const Prediction scored = eval.score(assign);
+    EXPECT_EQ(eval.stats().misses, 1u);
+    // The scored assignment was not stored: predict() scores it again.
+    const Prediction predicted = eval.predict(assign);
+    EXPECT_EQ(eval.stats().misses, 2u);
+    EXPECT_EQ(eval.stats().hits, 0u);
+    EXPECT_EQ(predicted.latency, scored.latency);
+    EXPECT_EQ(predicted.energyJ, scored.energyJ);
+    // Now it is memoized.
+    (void)eval.predict(assign);
+    EXPECT_EQ(eval.stats().misses, 2u);
+    EXPECT_EQ(eval.stats().hits, 1u);
+}
+
 TEST(PackedAssignmentKey, IntegerOrderIsLexicographicOrder)
 {
     // Stage 0 sits in the high nibble, so sorting packed keys sorts the
