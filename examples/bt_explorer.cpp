@@ -30,7 +30,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -98,6 +100,17 @@ planCost(const core::Candidate& c, const core::PlannerSpec& spec)
       default:
         return c.predictedLatency;
     }
+}
+
+/** @p v with max_digits10 significant digits: a JSON reader gets the
+ *  same double back, so pinned plan costs see every bit. */
+std::string
+roundTrip(double v)
+{
+    std::ostringstream os;
+    os << std::setprecision(std::numeric_limits<double>::max_digits10)
+       << v;
+    return os.str();
 }
 
 bool
@@ -344,7 +357,7 @@ runCheck(const Options& opt)
                         optimizer.stats().spaceSize));
         planning_json += std::string(i == 0 ? "" : ", ")
             + "{\"app\": \"" + names[i] + "\", \"plan_cost\": "
-            + std::to_string(cost) + "}";
+            + roundTrip(cost) + "}";
     }
     planning_json += "]}\n";
 
@@ -702,7 +715,7 @@ main(int argc, char** argv)
             << "  \"app\": \"" << app.name() << "\",\n"
             << "  \"engine\": \""
             << core::plannerEngineName(ocfg.engine) << "\",\n"
-            << "  \"plan_cost\": " << front_cost << ",\n"
+            << "  \"plan_cost\": " << roundTrip(front_cost) << ",\n"
             << "  \"schedule\": \"" << best.toString(soc, names)
             << "\",\n"
             << "  \"tasks\": " << run.tasks << ",\n"

@@ -724,17 +724,21 @@ Optimizer::optimizeExhaustive()
 {
     const int n = table.numStages();
     // Only the allowed classes are enumerated (the lease / degradation
-    // re-plan hook), so the cost follows stats_.spaceSize.
+    // re-plan hook), so the cost follows stats_.spaceSize. Each
+    // assignment is distinct, so an owned evaluator's memo would never
+    // be read: score in place. A shared evaluator outlives this
+    // optimizer (ReplanPlanner), and its memo serves the next replan.
     SchedulePool admissible(n, soc.numPus());
-    std::vector<int> assign(static_cast<std::size_t>(n));
-    for (const auto& s : enumerateSchedulesOver(n, allowedPus())) {
-        for (const auto& chunk : s.chunks())
-            for (int i = chunk.firstStage; i <= chunk.lastStage; ++i)
-                assign[static_cast<std::size_t>(i)] = chunk.pu;
-        if (!demandOk(assign))
-            continue; // over the C6 aggregate-demand budget
-        admissible.add(assign, eval_->predict(assign, bucket_));
-    }
+    const bool memoize = config.sharedEvaluator != nullptr;
+    forEachAssignmentOver(n, allowedPus(),
+                          [&](const std::vector<int>& assign) {
+                              if (!demandOk(assign))
+                                  return; // over the C6 budget
+                              admissible.add(
+                                  assign,
+                                  memoize ? eval_->predict(assign, bucket_)
+                                          : eval_->score(assign, bucket_));
+                          });
     BT_ASSERT(!admissible.empty(), "allowedPus admits no schedule");
     return selectDiverse(admissible);
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
-#include <set>
 #include <sstream>
 
 #include "common/logging.hpp"
@@ -15,13 +14,25 @@ Schedule::Schedule(std::vector<Chunk> chunks_in)
 {
     BT_ASSERT(!chunks_.empty(), "schedule needs at least one chunk");
     int expect = 0;
-    std::set<int> used;
-    for (const auto& c : chunks_) {
+    std::uint64_t used = 0; // bit p: class p taken by an earlier chunk
+    for (auto it = chunks_.begin(); it != chunks_.end(); ++it) {
+        const Chunk& c = *it;
         BT_ASSERT(c.firstStage == expect,
                   "chunks must tile the stage sequence");
         BT_ASSERT(c.lastStage >= c.firstStage, "empty chunk");
-        BT_ASSERT(used.insert(c.pu).second,
-                  "PU ", c.pu, " used by two chunks (violates C2)");
+        // Classes past the mask (a schedule lint is about to reject as
+        // naming an unknown PU) fall back to scanning the chunks before.
+        bool fresh = false;
+        if (c.pu >= 0 && c.pu < platform::SocDescription::kMaxPus) {
+            const std::uint64_t bit = std::uint64_t{1} << c.pu;
+            fresh = (used & bit) == 0;
+            used |= bit;
+        } else {
+            fresh = std::none_of(
+                chunks_.begin(), it,
+                [&c](const Chunk& o) { return o.pu == c.pu; });
+        }
+        BT_ASSERT(fresh, "PU ", c.pu, " used by two chunks (violates C2)");
         expect = c.lastStage + 1;
     }
 }
@@ -153,37 +164,6 @@ Schedule::compactString() const
 
 namespace {
 
-/**
- * Recursive generator: split the remaining stages [start, n) into chunks
- * and assign each a PU class index not used so far; the chunk records
- * pus[index].
- */
-void
-enumerateRec(int start, int n, std::span<const int> pus,
-             std::uint32_t used_mask, std::vector<Chunk>& acc,
-             std::vector<Schedule>* out, std::uint64_t* count)
-{
-    if (start == n) {
-        if (out)
-            out->push_back(Schedule(acc));
-        if (count)
-            ++*count;
-        return;
-    }
-    const int num_pus = static_cast<int>(pus.size());
-    for (int end = start; end < n; ++end) {
-        for (int k = 0; k < num_pus; ++k) {
-            if (used_mask & (1u << k))
-                continue;
-            acc.push_back(
-                Chunk{start, end, pus[static_cast<std::size_t>(k)]});
-            enumerateRec(end + 1, n, pus, used_mask | (1u << k), acc,
-                         out, count);
-            acc.pop_back();
-        }
-    }
-}
-
 std::vector<int>
 firstPus(int num_pus)
 {
@@ -197,11 +177,12 @@ firstPus(int num_pus)
 std::vector<Schedule>
 enumerateSchedulesOver(int num_stages, std::span<const int> pus)
 {
-    BT_ASSERT(num_stages > 0 && !pus.empty());
-    BT_ASSERT(pus.size() <= 32, "PU mask limited to 32 classes");
     std::vector<Schedule> out;
-    std::vector<Chunk> acc;
-    enumerateRec(0, num_stages, pus, 0u, acc, &out, nullptr);
+    forEachAssignmentOver(num_stages, pus,
+                          [&out](const std::vector<int>& assign) {
+                              out.push_back(
+                                  Schedule::fromAssignment(assign));
+                          });
     return out;
 }
 
@@ -215,12 +196,10 @@ enumerateSchedules(int num_stages, int num_pus)
 std::uint64_t
 countSchedules(int num_stages, int num_pus)
 {
-    BT_ASSERT(num_stages > 0 && num_pus > 0);
-    BT_ASSERT(num_pus <= 32, "PU mask limited to 32 classes");
+    BT_ASSERT(num_pus > 0);
     std::uint64_t count = 0;
-    std::vector<Chunk> acc;
-    enumerateRec(0, num_stages, firstPus(num_pus), 0u, acc, nullptr,
-                 &count);
+    forEachAssignmentOver(num_stages, firstPus(num_pus),
+                          [&count](const std::vector<int>&) { ++count; });
     return count;
 }
 

@@ -14,10 +14,14 @@
 #ifndef BT_CORE_SCHEDULE_HPP
 #define BT_CORE_SCHEDULE_HPP
 
+#include <algorithm>
+#include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/logging.hpp"
 #include "core/profiling_table.hpp"
 #include "platform/soc.hpp"
 
@@ -85,6 +89,53 @@ class Schedule
     std::vector<Chunk> chunks_;
 };
 
+namespace detail {
+
+/** forEachAssignmentOver's recursion: chunk [start, end] takes each
+ *  class index k not in @p used, recording pus[k] on its stages. */
+template <typename Fn>
+void
+assignmentRec(int start, std::span<const int> pus, std::uint64_t used,
+              std::vector<int>& assign, Fn& fn)
+{
+    const int n = static_cast<int>(assign.size());
+    if (start == n) {
+        fn(std::as_const(assign));
+        return;
+    }
+    for (int end = start; end < n; ++end) {
+        for (std::size_t k = 0; k < pus.size(); ++k) {
+            const std::uint64_t bit = std::uint64_t{1} << k;
+            if (used & bit)
+                continue;
+            std::fill(assign.begin() + start, assign.begin() + end + 1,
+                      pus[k]);
+            assignmentRec(end + 1, pus, used | bit, assign, fn);
+        }
+    }
+}
+
+} // namespace detail
+
+/**
+ * Call @p fn once per schedule satisfying C1 and C2 over the PU classes
+ * @p pus, with its stage -> PU assignment (a const std::vector<int>&,
+ * valid only during the call). The first chunk's end grows outermost,
+ * its class index (position in @p pus) innermost, and so on recursively;
+ * enumerateSchedulesOver and countSchedules walk this same order.
+ * Nothing is allocated per schedule - the exhaustive planner scores
+ * each assignment in place.
+ */
+template <typename Fn>
+void
+forEachAssignmentOver(int num_stages, std::span<const int> pus, Fn&& fn)
+{
+    BT_ASSERT(num_stages > 0 && !pus.empty());
+    BT_ASSERT(pus.size() <= 64, "PU mask limited to 64 classes");
+    std::vector<int> assign(static_cast<std::size_t>(num_stages));
+    detail::assignmentRec(0, pus, 0, assign, fn);
+}
+
 /**
  * Enumerate every schedule satisfying C1 (one PU per stage) and C2
  * (contiguity, i.e. distinct PUs per chunk): all ordered partitions of
@@ -97,9 +148,10 @@ std::vector<Schedule> enumerateSchedules(int num_stages, int num_pus);
 /**
  * enumerateSchedules over the PU classes @p pus instead of 0..m-1: the
  * same enumeration of pus.size() classes, with class index k mapped
- * onto pus[k]. The exhaustive planner engine and the annealer's full
- * sweep enumerate a PU lease this way, so their cost follows the
- * allowed space, not the device's.
+ * onto pus[k]. The annealer's full sweep enumerates a PU lease this
+ * way (and the exhaustive planner engine walks the same assignments
+ * with forEachAssignmentOver), so their cost follows the allowed space,
+ * not the device's.
  */
 std::vector<Schedule> enumerateSchedulesOver(int num_stages,
                                              std::span<const int> pus);

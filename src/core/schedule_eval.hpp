@@ -18,8 +18,8 @@
  *  2. a *keyed prediction cache*: full Prediction records (latency,
  *     gapness, energy, chunk count) cached in a SchedulePool by
  *     packed assignment key (packAssignment), shared across the
- *     solver harvest, exhaustive enumeration and
- *     graceful-degradation replans against the same table;
+ *     solver harvest and graceful-degradation replans against the
+ *     same table;
  *  3. per-(PU, busy others) active power and per-PU idle power,
  *     looked up once from the PerfModel, so the energy model reads
  *     tables instead of re-deriving clock factors per chunk.
@@ -27,7 +27,9 @@
  * predict() is a memo lookup followed by score(), the unmemoized
  * scoring. The annealed engine deduplicates in its own pool
  * (anneal.hpp) and calls score() on a pool miss, so each schedule it
- * visits is hashed and stored once, never in this memo.
+ * visits is hashed and stored once, never in this memo. The exhaustive
+ * engine calls score() too, since its assignments are distinct, unless
+ * its evaluator is shared and outlives it (PlannerSpec::sharedEvaluator).
  *
  * Cross-tenant co-placement rides the same machinery: when constructed
  * with a ContentionProfile, predictions can be asked for under an

@@ -78,22 +78,20 @@ GreedyRuntime::run(const core::Application& app, const RunConfig& cfg,
     std::vector<double> complete_time(static_cast<std::size_t>(
         cfg.numTasks), 0.0);
 
-    std::vector<platform::Load> loads; // reused across rate refreshes
+    // No clock scaling here, so the memo is never flushed; the key is
+    // reused across rate refreshes.
+    RateMemo rate_memo(model_, app, cfg.ambientBandwidthGbps);
+    std::vector<std::uint32_t> key;
     sim::Engine engine([&](std::span<const sim::ActiveTask> active,
                            std::span<double> rates) {
-        loads.resize(active.size());
+        key.resize(active.size());
         for (std::size_t i = 0; i < active.size(); ++i) {
-            const int pu = static_cast<int>(active[i].tag);
-            BT_ASSERT(pu_state[static_cast<std::size_t>(pu)]
-                      == PuState::Running);
-            loads[i] = platform::Load{
-                &app.stage(pu_item[static_cast<std::size_t>(pu)].stage)
-                     .work(),
-                pu};
+            const auto pu = static_cast<std::size_t>(active[i].tag);
+            BT_ASSERT(pu_state[pu] == PuState::Running);
+            key[i] = RateMemo::code(pu_item[pu].stage,
+                                    static_cast<int>(pu));
         }
-        model_.timesOf(loads, {}, cfg.ambientBandwidthGbps, rates);
-        for (double& r : rates)
-            r = 1.0 / r;
+        rate_memo.rates(key, {}, rates);
     });
 
     EnergyMeter meter(model_);

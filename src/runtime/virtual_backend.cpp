@@ -42,7 +42,84 @@ EnergyMeter::EnergyMeter(const platform::PerfModel& model) : model_(model)
 void
 EnergyMeter::add(double t0, double t1, std::uint64_t active_pus)
 {
-    joules_ += (t1 - t0) * model_.systemPowerW(active_pus);
+    joules_ += (t1 - t0) * powerW(active_pus);
+}
+
+double
+EnergyMeter::powerW(std::uint64_t mask)
+{
+    // Linear probing over 64 slots; at most kPowerCapacity are filled,
+    // so every probe ends at a match or an empty slot.
+    auto i = static_cast<int>((mask * 0x9e3779b97f4a7c15ull) >> 58);
+    for (; (occupied_ >> i) & 1u; i = (i + 1) & (kPowerSlots - 1))
+        if (masks_[static_cast<std::size_t>(i)] == mask)
+            return watts_[static_cast<std::size_t>(i)];
+    const double watts = model_.systemPowerW(mask);
+    if (powerCount_ < kPowerCapacity) {
+        masks_[static_cast<std::size_t>(i)] = mask;
+        watts_[static_cast<std::size_t>(i)] = watts;
+        occupied_ |= std::uint64_t{1} << i;
+        ++powerCount_;
+    }
+    return watts;
+}
+
+RateMemo::RateMemo(const platform::PerfModel& model,
+                   const core::Application& app, double ambient_gbps)
+    : model_(model), app_(app), ambientGbps_(ambient_gbps)
+{
+    slots_.fill(kEmpty);
+}
+
+void
+RateMemo::rates(std::span<const std::uint32_t> key,
+                std::span<const double> clock_scale, std::span<double> out)
+{
+    BT_ASSERT(out.size() == key.size(), "one output per key code");
+    std::uint64_t h = key.size();
+    for (const std::uint32_t c : key)
+        h = (h ^ c) * 0x9e3779b97f4a7c15ull;
+    h ^= h >> 32;
+
+    std::size_t slot = h & (kSlots - 1);
+    for (; slots_[slot] != kEmpty; slot = (slot + 1) & (kSlots - 1)) {
+        const Entry& e = entries_[static_cast<std::size_t>(slots_[slot])];
+        if (e.hash == h && e.size == key.size()
+            && std::equal(key.begin(), key.end(),
+                          codes_.begin() + e.offset)) {
+            std::copy_n(rates_.begin() + e.offset, e.size, out.begin());
+            ++hits_;
+            return;
+        }
+    }
+
+    ++misses_;
+    loads_.resize(key.size());
+    for (std::size_t i = 0; i < key.size(); ++i)
+        loads_[i] = platform::Load{
+            &app_.stage(static_cast<int>(key[i] >> kPuBits)).work(),
+            static_cast<int>(key[i] & ((1u << kPuBits) - 1))};
+    model_.timesOf(loads_, clock_scale, ambientGbps_, out);
+    for (double& r : out)
+        r = 1.0 / r;
+    if (entries_.size() == kCapacity)
+        return; // full: compute without inserting
+    slots_[slot] = static_cast<std::int16_t>(entries_.size());
+    entries_.push_back({h, static_cast<std::uint32_t>(codes_.size()),
+                        static_cast<std::uint32_t>(key.size())});
+    codes_.insert(codes_.end(), key.begin(), key.end());
+    rates_.insert(rates_.end(), out.begin(), out.end());
+}
+
+void
+RateMemo::flush()
+{
+    if (entries_.empty())
+        return;
+    slots_.fill(kEmpty);
+    entries_.clear();
+    codes_.clear();
+    rates_.clear();
 }
 
 VirtualTimeBackend::VirtualTimeBackend(const platform::PerfModel& model)
@@ -123,23 +200,20 @@ VirtualTimeBackend::run(const core::Application& app,
     // --- virtual-time engine ------------------------------------------
     // Tag = chunk index; each chunk executes at most one stage at a time,
     // so the chunk's runtime state identifies the running stage.
-    std::vector<platform::Load> loads; // reused across rate refreshes
+    // The memo is flushed whenever the clock scales change
+    // (armSlowdown below); the key is reused across rate refreshes.
+    RateMemo rate_memo(model_, app, cfg.ambientBandwidthGbps);
+    std::vector<std::uint32_t> key;
     sim::Engine engine([&](std::span<const sim::ActiveTask> active,
                            std::span<double> rates) {
-        loads.resize(active.size());
+        key.resize(active.size());
         for (std::size_t i = 0; i < active.size(); ++i) {
-            const auto& rt = chunks[static_cast<std::size_t>(
-                active[i].tag)];
-            BT_ASSERT(rt.busy && rt.curStage >= 0,
+            const auto c = static_cast<std::size_t>(active[i].tag);
+            BT_ASSERT(chunks[c].busy && chunks[c].curStage >= 0,
                       "active task on idle chunk");
-            loads[i] = platform::Load{
-                &app.stage(rt.curStage).work(),
-                chunk_pu[static_cast<std::size_t>(active[i].tag)]};
+            key[i] = RateMemo::code(chunks[c].curStage, chunk_pu[c]);
         }
-        model_.timesOf(loads, clock_scale, cfg.ambientBandwidthGbps,
-                       rates);
-        for (double& r : rates)
-            r = 1.0 / r;
+        rate_memo.rates(key, clock_scale, rates);
     });
 
     // A chunk's PU draws active power from dispatch to hand-off,
@@ -380,7 +454,9 @@ VirtualTimeBackend::run(const core::Application& app,
                 clock_scale[static_cast<std::size_t>(p)]
                     = injector.slowdownFactor(p, engine.now());
             // The active set is untouched but the rate inputs changed:
-            // force a re-read before the next event.
+            // drop the memoized rates and force a re-read before the
+            // next event.
+            rate_memo.flush();
             engine.invalidateRates();
             armSlowdown();
         });

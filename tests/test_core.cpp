@@ -8,11 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <numeric>
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "apps/alexnet.hpp"
 #include "apps/octree_app.hpp"
@@ -343,6 +345,74 @@ TEST(ScheduleEnumeration, ChunkCountNeverExceedsPus)
 {
     for (const auto& s : enumerateSchedules(6, 2))
         EXPECT_LE(s.numChunks(), 2);
+}
+
+/** The chunk-list recursion the enumeration used before it became a
+ *  user of forEachAssignmentOver: an independent reference order. */
+void
+referenceEnumeration(int start, int n, const std::vector<int>& pus,
+                     std::uint32_t used, std::vector<Chunk>& acc,
+                     std::vector<std::vector<int>>& out)
+{
+    if (start == n) {
+        out.push_back(Schedule(acc).toAssignment());
+        return;
+    }
+    for (int end = start; end < n; ++end)
+        for (std::size_t k = 0; k < pus.size(); ++k) {
+            if (used & (1u << k))
+                continue;
+            acc.push_back(Chunk{start, end, pus[k]});
+            referenceEnumeration(end + 1, n, pus, used | (1u << k), acc,
+                                 out);
+            acc.pop_back();
+        }
+}
+
+TEST(ScheduleEnumeration, AssignmentWalkerMatchesEnumerationInOrder)
+{
+    struct Case
+    {
+        int stages;
+        std::vector<int> pus;
+    };
+    // The full paper space, restricted leases (sorted and not), a
+    // single class, and more classes than stages.
+    const Case cases[] = {{9, {0, 1, 2, 3}}, {7, {1, 3}}, {6, {2, 0, 3}},
+                          {4, {5}},          {2, {0, 1, 2, 3, 4}}};
+    for (const Case& c : cases) {
+        std::vector<std::vector<int>> walked;
+        forEachAssignmentOver(c.stages, c.pus,
+                              [&walked](const std::vector<int>& a) {
+                                  walked.push_back(a);
+                              });
+        const auto schedules = enumerateSchedulesOver(c.stages, c.pus);
+        std::vector<std::vector<int>> reference;
+        std::vector<Chunk> acc;
+        referenceEnumeration(0, c.stages, c.pus, 0u, acc, reference);
+
+        ASSERT_EQ(walked.size(), schedules.size());
+        EXPECT_EQ(walked, reference);
+        EXPECT_EQ(walked.size(),
+                  scheduleSpaceSize(c.stages,
+                                    static_cast<int>(c.pus.size())));
+        for (std::size_t i = 0; i < walked.size(); ++i)
+            ASSERT_EQ(walked[i], schedules[i].toAssignment())
+                << c.stages << " stages, schedule " << i;
+    }
+}
+
+TEST(Schedule, ConstructorRejectsReusedPu)
+{
+    // C2 via the used-PU mask, and via the scan for classes past it.
+    EXPECT_DEATH_IF_SUPPORTED(Schedule::fromAssignment({0, 1, 0}),
+                              "PU 0 used by two chunks \\(violates C2\\)");
+    EXPECT_DEATH_IF_SUPPORTED(Schedule::fromAssignment({63, 2, 63}),
+                              "PU 63 used by two chunks");
+    EXPECT_DEATH_IF_SUPPORTED(Schedule::fromAssignment({70, 2, 70}),
+                              "PU 70 used by two chunks");
+    // Unknown classes are the schedule linter's to report, not C2's.
+    EXPECT_EQ(Schedule::fromAssignment({70, 64, 2}).numChunks(), 3);
 }
 
 TEST(Applications, AlexNetHasNineStages)

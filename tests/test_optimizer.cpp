@@ -751,6 +751,41 @@ TEST_F(ProfiledPixel, SharedEvaluatorServesSecondOptimizerFromCache)
     (void)plan_a;
 }
 
+TEST_F(ProfiledPixel, ExhaustiveScoresInPlaceUnlessTheEvaluatorIsShared)
+{
+    const auto& table = result.interference;
+    for (const std::vector<int>& lease :
+         {std::vector<int>{}, std::vector<int>{0, 2, 3}}) {
+        PlannerSpec cfg;
+        cfg.allowedPus = lease;
+        // An owned evaluator is never asked twice about one schedule:
+        // each is scored once and none goes through the memo.
+        Optimizer owned(soc, table, cfg);
+        const auto plan = owned.optimize();
+        EXPECT_EQ(owned.stats().evalMisses, owned.stats().spaceSize);
+        EXPECT_EQ(owned.stats().evalHits, 0u);
+
+        // A shared evaluator is memoized, so a second optimizer over it
+        // is served entirely from the memo, with the same plan.
+        ScheduleEvaluator eval(soc, table, *model);
+        cfg.sharedEvaluator = &eval;
+        Optimizer first(soc, table, cfg);
+        first.optimize();
+        EXPECT_EQ(eval.stats().misses, owned.stats().spaceSize);
+        Optimizer second(soc, table, cfg);
+        const auto again = second.optimize();
+        EXPECT_EQ(eval.stats().misses, owned.stats().spaceSize);
+        EXPECT_EQ(eval.stats().hits, owned.stats().spaceSize);
+        ASSERT_EQ(plan.size(), again.size());
+        for (std::size_t i = 0; i < plan.size(); ++i) {
+            EXPECT_EQ(plan[i].schedule.toAssignment(),
+                      again[i].schedule.toAssignment());
+            EXPECT_EQ(plan[i].predictedLatency, again[i].predictedLatency);
+            EXPECT_EQ(plan[i].predictedEnergyJ, again[i].predictedEnergyJ);
+        }
+    }
+}
+
 /** score() equals predict() bit for bit on every schedule over @p pus,
  *  uncontended and under one contended bucket, and never touches the
  *  memo. */

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cstdint>
 #include <map>
@@ -26,8 +27,10 @@
 #include "core/profiler.hpp"
 #include "core/sim_executor.hpp"
 #include "platform/devices.hpp"
+#include "runtime/greedy_runtime.hpp"
 #include "runtime/run_types.hpp"
 #include "runtime/trace.hpp"
+#include "runtime/virtual_backend.hpp"
 
 namespace bt::core {
 namespace {
@@ -1035,6 +1038,183 @@ TEST(TraceContract, PinnedMeasurements)
              0x1.99b682dedda16p-7, 0x1.3bd0785a909b8p-1},
             "greedy");
     }
+}
+
+
+// ---------------------------------------------------------------------
+// Digests of whole measurement streams. The backends memoize their rate
+// and power queries per run; memoization must not change a bit of any
+// virtual-time output, so every schedule of three (app, rig) pairs is
+// folded into one digest per backend. The digests were recorded from
+// the runtime before it memoized anything.
+
+/** FNV-1a over the bit patterns of a run's measured values. */
+class RunDigest
+{
+  public:
+    void
+    fold(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i, v >>= 8) {
+            digest_ ^= v & 0xff;
+            digest_ *= 0x100000001b3ull;
+        }
+    }
+
+    void fold(double v) { fold(std::bit_cast<std::uint64_t>(v)); }
+
+    /** Makespan, interval, energy, mean latency, and each stage
+     *  execution's (task, stage, PU, start, end) from the trace. */
+    void
+    fold(const runtime::RunResult& run)
+    {
+        fold(run.makespanSeconds);
+        fold(run.taskIntervalSeconds);
+        fold(run.energyJoules);
+        fold(run.meanLatencySeconds);
+        for (const auto& e : run.trace.events()) {
+            fold(static_cast<std::uint64_t>(e.task));
+            fold(static_cast<std::uint64_t>(e.stage));
+            fold(static_cast<std::uint64_t>(e.pu));
+            fold(e.startSeconds);
+            fold(e.endSeconds);
+        }
+    }
+
+    std::uint64_t value() const { return digest_; }
+
+  private:
+    std::uint64_t digest_ = 0xcbf29ce484222325ull;
+};
+
+TEST(RuntimeDigest, EveryScheduleAndGreedyRunMatchRecordedDigests)
+{
+    struct Pair
+    {
+        platform::SocDescription soc;
+        Application app;
+        std::uint64_t virtualDigest;
+        std::uint64_t greedyDigest;
+    };
+    const Pair pairs[] = {
+        {platform::pixel7a(), apps::octreeApp(), 0x723561b2afdcb20aull,
+         0x166869f496b8a92eull},
+        {platform::jetsonOrinNano(), apps::alexnetDense(),
+         0x67d1077be26b6db9ull, 0xf2534bea701dd33bull},
+        {platform::jetsonOrinNanoLp(), apps::alexnetSparse(),
+         0x464b958122101306ull, 0xa4d98408220f25a8ull},
+    };
+    for (const Pair& p : pairs) {
+        const platform::PerfModel model(p.soc);
+        const runtime::VirtualTimeBackend backend(model);
+        runtime::RunConfig cfg;
+        cfg.noiseSalt = 0x7ace;
+        cfg.numTasks = 10;
+        RunDigest virt;
+        for (const auto& schedule : enumerateSchedules(
+                 p.app.numStages(), p.soc.numPus()))
+            virt.fold(backend.run(p.app, schedule, cfg));
+        EXPECT_EQ(virt.value(), p.virtualDigest)
+            << p.soc.name << " virtual: 0x" << std::hex << virt.value();
+
+        // The greedy policy under several salts, with and without
+        // ambient co-runner demand.
+        const auto profile = Profiler(model).profile(p.app);
+        const runtime::GreedyRuntime greedy(model, profile.interference);
+        RunDigest dyn;
+        for (const std::uint64_t salt : {0x7aceull, 1ull, 2ull})
+            for (const double ambient : {0.0, 6.0}) {
+                runtime::RunConfig g;
+                g.noiseSalt = salt;
+                g.ambientBandwidthGbps = ambient;
+                dyn.fold(greedy.run(p.app, g, runtime::GreedyParams{}));
+            }
+        EXPECT_EQ(dyn.value(), p.greedyDigest)
+            << p.soc.name << " greedy: 0x" << std::hex << dyn.value();
+    }
+}
+
+TEST(RateMemo, HitsRepeatedSetsInOrderAndStaysBounded)
+{
+    const auto soc = platform::pixel7a();
+    const platform::PerfModel model(soc);
+    const auto app = apps::octreeApp();
+    using runtime::RateMemo;
+    RateMemo memo(model, app, 2.5);
+
+    const auto load = [&](int stage, int pu) {
+        return platform::Load{&app.stage(stage).work(), pu};
+    };
+    const std::vector<platform::Load> loads = {load(0, 0), load(3, 2)};
+    const std::vector<std::uint32_t> key
+        = {RateMemo::code(0, 0), RateMemo::code(3, 2)};
+    std::vector<double> expect(2);
+    model.timesOf(loads, {}, 2.5, expect);
+    for (double& r : expect)
+        r = 1.0 / r;
+
+    std::vector<double> got(2);
+    memo.rates(key, {}, got);
+    EXPECT_EQ(got, expect);
+    memo.rates(key, {}, got);
+    EXPECT_EQ(got, expect); // bit for bit from the memo
+    EXPECT_EQ(memo.misses(), 1u);
+    EXPECT_EQ(memo.hits(), 1u);
+
+    // The same set in another order is another key.
+    memo.rates(std::vector<std::uint32_t>{key[1], key[0]}, {}, got);
+    EXPECT_EQ(memo.misses(), 2u);
+    EXPECT_EQ(got[0], expect[1]);
+
+    // A flush forgets every set.
+    memo.flush();
+    memo.rates(key, {}, got);
+    EXPECT_EQ(memo.misses(), 3u);
+    EXPECT_EQ(got, expect);
+
+    // Past kCapacity sets the memo computes without inserting: the
+    // sets stored first still hit, an overflowing one never does. Pairs
+    // of (stage, PU) tasks give 28 x 28 distinct keys on this rig.
+    const int tasks = app.numStages() * soc.numPus();
+    const auto pairKey = [&](std::size_t i) {
+        const int a = static_cast<int>(i) % tasks;
+        const int b = static_cast<int>(i) / tasks;
+        return std::vector<std::uint32_t>{
+            RateMemo::code(a % app.numStages(), a / app.numStages()),
+            RateMemo::code(b % app.numStages(), b / app.numStages())};
+    };
+    for (std::size_t i = 0; i < RateMemo::kCapacity + 8; ++i)
+        memo.rates(pairKey(i), {}, got);
+    const auto misses = memo.misses();
+    const auto late = pairKey(RateMemo::kCapacity + 4);
+    memo.rates(late, {}, got);
+    EXPECT_EQ(memo.misses(), misses + 1);
+    memo.rates(key, {}, got);
+    EXPECT_EQ(memo.misses(), misses + 1);
+    EXPECT_EQ(got, expect);
+}
+
+TEST(RuntimeDigest, FaultPlanRunMatchesRecordedDigest)
+{
+    // Two throttle windows (each boundary changes the clock scales the
+    // rates read) and a dropout that replans, then the same plan with
+    // per-chunk failover instead of the replan.
+    const auto soc = platform::pixel7a();
+    const platform::PerfModel model(soc);
+    const runtime::VirtualTimeBackend backend(model);
+    const auto app = apps::octreeApp();
+    const auto schedule = Schedule::fromAssignment({0, 1, 1, 3, 3, 3, 2});
+    RunDigest digest;
+    for (const bool degrade : {true, false}) {
+        SimExecConfig cfg = faultyConfig();
+        cfg.faults.slowdowns.push_back({2, 0.1, 0.3, 0.7});
+        cfg.recovery.degrade = degrade;
+        const auto run = backend.run(app, schedule, cfg);
+        EXPECT_GE(run.recovery.replans, degrade ? 1 : 0);
+        digest.fold(run);
+    }
+    EXPECT_EQ(digest.value(), 0x26cd3e561cbb873aull)
+        << "faulty: 0x" << std::hex << digest.value();
 }
 
 } // namespace
